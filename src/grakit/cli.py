@@ -31,7 +31,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_cap() -> int:
     env = os.environ.get("GRAKIT_CAP")
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"GRAKIT_CAP must be an integer, got {env!r}") from None
 
 
 def _load_graph(spec: str) -> Graph:
@@ -281,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--graph", required=True, help="family shorthand, JSON, or file path")
         p.add_argument("--format", default=fmt, choices=("json", "csv", "dot", "text"))
         p.add_argument("--cap", type=int, default=None, help="vertex cap override")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads")
         for flag, kw in extra:
             p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)
@@ -312,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--range", dict(required=True, help="like 2..6")),
         ("--command", dict(required=True, choices=SWEEP_COMMANDS)),
         ("--system", dict(default="hyper", choices=groebner.SYSTEMS)),
+        ("--jobs", dict(type=int, default=1, help="worker threads")),
     ])
     return parser
 
@@ -319,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cap is None:
-        args.cap = _default_cap()
     try:
+        if args.cap is None:
+            args.cap = _default_cap()
         report, code, csv_parts = args.fn(args)
     except (GraphError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"grakit: error: {exc}", file=sys.stderr)

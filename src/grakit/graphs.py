@@ -65,12 +65,16 @@ class Graph:
 EMPTY_GRAPH = Graph((), ())
 
 
+def _is_label(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # bool is an int subclass, not a label
+
+
 def make_graph(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and canonicalize; duplicate edges are absorbed, loops rejected."""
     vs = list(vertices)
     if len(set(vs)) != len(vs):
         raise DuplicateLabelError(f"duplicate vertex labels in {vs}")
-    if any(not isinstance(v, int) or v <= 0 for v in vs):
+    if any(not _is_label(v) or v <= 0 for v in vs):
         raise GraphError(f"vertex labels must be positive integers: {vs}")
     vset = set(vs)
     canon = set()
@@ -78,7 +82,7 @@ def make_graph(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> Graph
         a, b = e
         if a == b:
             raise LoopEdgeError(f"loop edge ({a},{b}) not allowed")
-        if a not in vset or b not in vset:
+        if not (_is_label(a) and _is_label(b) and a in vset and b in vset):
             raise DanglingEndpointError(f"edge ({a},{b}) has endpoint outside {sorted(vset)}")
         canon.add((min(a, b), max(a, b)))
     return Graph(tuple(sorted(vs)), tuple(sorted(canon)))

@@ -21,7 +21,6 @@ from grakit import (
     betti,
     check_axioms,
     check_gravity_relations,
-    cobar_complex,
     enumerate_nested,
     f_vector,
     family,
@@ -105,15 +104,15 @@ def test_criterion_04_known_families():
             assert f_vector(family("complete", n))[0] == math.factorial(n)
 
 
-def test_criterion_05_koszulness(classes_upto_5, classes_upto_6):
-    with criterion(5, "cobar homology is a point for <= 5 vertices; "
-                      "squared differential vanishes for <= 6, < 10 min"):
+def test_criterion_05_koszulness(classes_upto_6):
+    with criterion(5, "cobar homology is a point for <= 6 vertices, complete:6 "
+                      "and path/cycle/star:7 (squared differential checked "
+                      "on each), < 10 min"):
         t0 = time.monotonic()
-        for g in classes_upto_5:
-            hom = koszul_check(g)
-            assert all(dim == (1 if k == 0 else 0) for k, dim in hom.items()), g
-        for g in classes_upto_6:
-            cobar_complex(g)  # construction runs the squared-differential gate
+        reach = [family("complete", 6)] + [family(k, 7) for k in ("path", "cycle", "star")]
+        for g in list(classes_upto_6) + reach:
+            # building the complex runs the squared-differential gate
+            assert koszul_check(g) == {k: int(k == 0) for k in range(g.n)}, g
         assert time.monotonic() - t0 < 600.0
 
 

@@ -145,3 +145,28 @@ def test_graph_file_input(tmp_path, capsys):
 def test_output_is_deterministic(capsys):
     outs = {run(capsys, "nested", "--graph", "path:4", "--augmented")[1] for _ in range(3)}
     assert len(outs) == 1
+
+
+def test_koszul_check_complete6(capsys):
+    code, out, _ = run(capsys, "koszul-check", "--graph", "complete:6")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+def test_bad_cap_env_is_one_line_error(capsys, monkeypatch):
+    monkeypatch.setenv("GRAKIT_CAP", "abc")
+    code, out, err = run(capsys, "fvector", "--graph", "path:3")
+    assert code == 1 and out == ""
+    assert err.startswith("grakit: error: ") and err.count("\n") == 1
+    assert "GRAKIT_CAP" in err
+
+
+def test_bool_vertex_labels_rejected(capsys):
+    code, _, err = run(capsys, "fvector", "--graph", '{"vertices":[true,2],"edges":[]}')
+    assert code == 1 and err.startswith("grakit: error: ")
+
+
+def test_jobs_only_on_sweep():
+    with pytest.raises(SystemExit) as exc:
+        main(["fvector", "--graph", "path:3", "--jobs", "2"])
+    assert exc.value.code == 1

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from grakit import ChainComplex, QMatrix, homology_dims, kernel_basis, rank
+from grakit.exactla import _P, _rank_mod_p
 
 
 def M(rows):
@@ -149,3 +151,22 @@ def test_euler_characteristic_invariance():
         hom = homology_dims(cx)
         chi_h = sum((-1) ** k * d for k, d in hom.items())
         assert chi_h == cx.euler_characteristic()
+
+
+def _columns(m: QMatrix) -> list[dict]:
+    return [{i: int(m[i, j]) for i in range(m.rows) if m[i, j]} for j in range(m.cols)]
+
+
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=1, max_size=6)))
+def test_rank_mod_p_matches_exact_rank(rows):
+    m = M(rows)
+    assert _rank_mod_p(_columns(m)) == rank(m)
+
+
+def test_rank_mod_p_is_one_sided():
+    # an entry divisible by p vanishes mod p but not over the rationals
+    assert _rank_mod_p([{0: _P}]) == 0
+    assert rank(M([[_P]])) == 1
+    assert _rank_mod_p([{0: _P + 2, 1: 1}, {0: 2, 1: 1}]) == 1
+    assert rank(M([[_P + 2, 2], [1, 1]])) == 2

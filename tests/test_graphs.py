@@ -50,6 +50,13 @@ def test_make_graph_errors():
         make_graph([0, 1], [])
 
 
+def test_make_graph_rejects_bool_labels():
+    with pytest.raises(GraphError):
+        make_graph([True, 2], [(True, 2)])
+    with pytest.raises(GraphError):
+        make_graph([1, 2], [(True, 2)])  # True == 1, but it is no label
+
+
 @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=12))
 def test_make_graph_canonicalization_is_orientation_free(pairs):
     pairs = [(a, b) for a, b in pairs if a != b]

@@ -71,6 +71,43 @@ def test_koszul_check_small(classes_upto_4):
         assert all(dim == (1 if k == 0 else 0) for k, dim in hom.items())
 
 
+def test_koszul_check_mod_p_route_matches_exact(classes_upto_5):
+    for g in classes_upto_5:
+        assert koszul_check(g) == homology_dims(cobar_complex(g).chain_complex()), g
+
+
+def _count_calls(monkeypatch, module, name, shift=0):
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args) + shift
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_koszul_check_point_takes_no_exact_rank(monkeypatch):
+    import grakit.groebner as groebner
+
+    mod_p = _count_calls(monkeypatch, groebner, "_rank_mod_p")
+    exact = _count_calls(monkeypatch, groebner, "rank")
+    assert koszul_check(family("path", 3)) == {0: 1, 1: 0, 2: 0}
+    assert len(mod_p) == 2 and not exact
+
+
+def test_koszul_check_falls_back_when_mod_p_under_reports(monkeypatch):
+    # negative control: a mod-p rank one too small gives a non-point, and the
+    # exact ranks must then decide
+    import grakit.groebner as groebner
+
+    _count_calls(monkeypatch, groebner, "_rank_mod_p", shift=-1)
+    exact = _count_calls(monkeypatch, groebner, "rank")
+    assert koszul_check(family("path", 3)) == {0: 1, 1: 0, 2: 0}
+    assert len(exact) == 2
+
+
 # ---------------------------------------------------------------------------
 # Leading terms.
 # ---------------------------------------------------------------------------
