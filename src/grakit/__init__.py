@@ -7,7 +7,6 @@ and the cellular chain complex certifying the quadratic presentations.
 """
 
 from .engine import (
-    BROKEN_GERST,
     GRCOM,
     GRGERST,
     GerstElement,
@@ -27,7 +26,6 @@ from .engine import (
     gravity_dims,
     gravity_generator,
     gravity_relations,
-    grcom_x_compose,
     hypercom_relations,
     relation_pairing,
 )
@@ -73,14 +71,12 @@ from .tubings import (
     is_nested,
     lex_key,
     maximal_nested,
-    nested_lex_less,
     nested_set,
     nested_set_from_json,
     nested_tree,
     node_graph,
     proper_tubes,
     quadratic_divisor,
-    subset_precedes,
     tubes,
 )
 

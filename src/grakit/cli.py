@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import engine, groebner, polycomb, tubings
 from .graphs import Graph, GraphError, parse_graph
-from .tubings import DEFAULT_CAP, NestedSet, nested_set, nested_tree
+from .tubings import DEFAULT_CAP, NestedSet, nested_set_from_json, nested_tree
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -56,7 +56,7 @@ def _load_nested(g: Graph, spec: str) -> NestedSet:
             data = json.load(fh)
     else:
         data = json.loads(text)
-    return nested_set(g, data["tubes"])
+    return nested_set_from_json(g, data)
 
 
 def _emit(report: dict, fmt: str, csv_rows=None, csv_header=None) -> None:
@@ -169,13 +169,10 @@ def _cmd_check_gravity(args):
 
 def _cmd_relations(args):
     g = _load_graph(args.graph)
-    which = args.which or args.system
-    if which not in ("grav", "hyper"):
-        raise GraphError("relations needs --which grav|hyper")
-    rel = engine.gravity_relations(g) if which == "grav" else engine.hypercom_relations(g)
+    rel = engine.gravity_relations(g) if args.system == "grav" else engine.hypercom_relations(g)
     report = {
         "graph": args.graph,
-        "which": which,
+        "which": args.system,
         "basis": [list(t) for t in rel.basis_tubes],
         "vectors": [[int(x) for x in v] for v in rel.vectors],
         "span_dim": rel.span_dim(),
@@ -301,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("grav-dims", _cmd_grav_dims)
     add("check-gravity", _cmd_check_gravity)
     add("relations", _cmd_relations, extra=[
-        ("--which", dict(default=None, choices=("grav", "hyper"))),
-        ("--system", dict(default=None, choices=("grav", "hyper"))),
+        ("--system", dict(required=True, choices=("grav", "hyper"))),
     ])
     add("koszul-check", _cmd_koszul_check)
     add("normal-count", _cmd_normal_count, extra=[

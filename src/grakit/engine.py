@@ -54,18 +54,18 @@ def _added(x: Element, y: Element, s: int = 1) -> Element:
     return _clean(out)
 
 
+def _inversion_sign(seq: list[int]) -> int:
+    """Sign of the permutation that sorts seq ascending."""
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
+
+
 @dataclass(frozen=True)
 class GrComX:
     """Commutative reconnectad of a graded object with one generator in each
-    degree of ``generator_degrees``.
-
-    ``reorder`` selects the target order used when merging tensor factors;
-    anything but "ascending" produces a deliberately inconsistent variant
-    for negative-control tests.
-    """
+    degree of ``generator_degrees``."""
 
     generator_degrees: tuple[int, ...]
-    reorder: str = "ascending"
 
     def basis(self, g: Graph) -> list[Assignment]:
         return [
@@ -82,22 +82,7 @@ class GrComX:
     def _merge_sign(self, seq: list[tuple[int, int]]) -> int:
         """seq lists (vertex, degree) in concatenation order; the sign sorts
         the odd-degree factors into the target vertex order."""
-        odd = [v for v, d in seq if d % 2]
-        if self.reorder == "ascending":
-            inv = sum(
-                1
-                for i in range(len(odd))
-                for j in range(i + 1, len(odd))
-                if odd[i] > odd[j]
-            )
-        else:
-            inv = sum(
-                1
-                for i in range(len(odd))
-                for j in range(i + 1, len(odd))
-                if odd[i] < odd[j]
-            )
-        return -1 if inv % 2 else 1
+        return _inversion_sign([v for v, d in seq if d % 2])
 
     def compose(self, g: Graph, v: tuple[int, ...], outer: Element, parts: list[Element]) -> Element:
         """Structure map at a vertex subset v: outer lives on the reconnected
@@ -136,14 +121,8 @@ class GrComX:
             )
             images = [alpha[u] for u, i in zip(g.vertices, assignment)
                       if self.generator_degrees[i] % 2]
-            inv = sum(
-                1
-                for i in range(len(images))
-                for j in range(i + 1, len(images))
-                if images[i] > images[j]
-            )
             key = tuple(i for _, i in pairs)
-            out[key] = out.get(key, Fraction(0)) + (-1 if inv % 2 else 1) * c
+            out[key] = out.get(key, Fraction(0)) + _inversion_sign(images) * c
         return _clean(out)
 
     def unit(self) -> Element:
@@ -153,19 +132,6 @@ class GrComX:
 
 GRCOM = GrComX((0,))
 GRGERST = GrComX((0, 1))
-BROKEN_GERST = GrComX((0, 1), reorder="descending")
-
-
-def grcom_x_compose(
-    x_degrees: tuple[int, ...],
-    g: Graph,
-    v: tuple[int, ...],
-    outer: Element,
-    parts: list[Element],
-) -> Element:
-    """Composition in the commutative reconnectad of the graded object with
-    one generator per degree in ``x_degrees``."""
-    return GrComX(tuple(x_degrees)).compose(g, tuple(v), outer, parts)
 
 
 # ---------------------------------------------------------------------------

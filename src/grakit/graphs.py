@@ -3,7 +3,9 @@
 The two fundamental operators are the induced subgraph and the reconnected
 complement.  Vertex labels double as the total order used by the monomial
 machinery, so graphs are always stored with strictly ascending labels and
-canonical (min, max) edges.
+canonical (min, max) edges.  Connectivity has a single flood,
+:func:`component_masks`; :func:`connected_mask` and the reconnected
+complement are read off its components.
 """
 
 from __future__ import annotations
@@ -72,10 +74,10 @@ def _is_label(v) -> bool:
 def make_graph(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and canonicalize; duplicate edges are absorbed, loops rejected."""
     vs = list(vertices)
-    if len(set(vs)) != len(vs):
-        raise DuplicateLabelError(f"duplicate vertex labels in {vs}")
     if any(not _is_label(v) or v <= 0 for v in vs):
         raise GraphError(f"vertex labels must be positive integers: {vs}")
+    if len(set(vs)) != len(vs):
+        raise DuplicateLabelError(f"duplicate vertex labels in {vs}")
     vset = set(vs)
     canon = set()
     for e in edges:
@@ -112,7 +114,13 @@ def family(kind: str, n: int) -> Graph:
 def parse_graph(spec: str | dict) -> Graph:
     """Accept family shorthand like "path:4" or a {"vertices":..., "edges":...} dict."""
     if isinstance(spec, dict):
-        return make_graph(spec["vertices"], spec["edges"])
+        vs, es = spec.get("vertices"), spec.get("edges")
+        if not (isinstance(vs, list) and isinstance(es, list)
+                and all(isinstance(e, list) and len(e) == 2 for e in es)):
+            raise GraphError('graph JSON must look like {"vertices": [1, 2], "edges": [[1, 2]]}')
+        return make_graph(vs, es)
+    if not isinstance(spec, str):
+        raise GraphError(f"a graph is a shorthand string or a JSON object, got {spec!r}")
     kind, _, num = spec.partition(":")
     if not num:
         raise GraphError(f"graph shorthand must look like 'path:4', got {spec!r}")
@@ -146,10 +154,11 @@ def _adjacency(g: Graph) -> tuple[int, ...]:
 def mask_of(g: Graph, subset: Iterable[int]) -> int:
     idx = _bit_index(g)
     m = 0
-    for v in subset:
-        if v not in idx:
-            raise GraphError(f"{v} is not a vertex of {g!r}")
-        m |= 1 << idx[v]
+    try:
+        for v in subset:
+            m |= 1 << idx[v]
+    except KeyError as exc:
+        raise GraphError(f"{exc.args[0]} is not a vertex of {g!r}") from None
     return m
 
 
@@ -157,29 +166,9 @@ def labels_of(g: Graph, mask: int) -> tuple[int, ...]:
     return tuple(v for i, v in enumerate(g.vertices) if mask >> i & 1)
 
 
-def connected_mask(g: Graph, mask: int) -> bool:
-    """Is the induced subgraph on `mask` connected?  Empty mask counts as connected."""
-    if mask == 0:
-        return True
-    adj = _adjacency(g)
-    start = mask & -mask
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            nxt |= adj[b.bit_length() - 1]
-        nxt &= mask & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == mask
-
-
 def component_masks(g: Graph, mask: int) -> list[int]:
-    """Connected components of the induced subgraph on `mask`, ordered by min bit."""
+    """Connected components of the induced subgraph on `mask`, ordered by
+    min bit.  This is the one flood: every connectivity question goes here."""
     adj = _adjacency(g)
     out = []
     rest = mask
@@ -202,6 +191,11 @@ def component_masks(g: Graph, mask: int) -> list[int]:
     return out
 
 
+def connected_mask(g: Graph, mask: int) -> bool:
+    """Is the induced subgraph on `mask` connected?  Empty mask counts as connected."""
+    return len(component_masks(g, mask)) <= 1
+
+
 # ---------------------------------------------------------------------------
 # Core operators.
 # ---------------------------------------------------------------------------
@@ -219,34 +213,17 @@ def reconnected_complement(g: Graph, subset: Iterable[int]) -> Graph:
     """Delete `subset`; join surviving vertices linked by a path through it.
 
     An edge (a, b) appears exactly when some path of g from a to b has all its
-    internal vertices inside `subset`; original edges outside survive.
+    internal vertices inside `subset`: either (a, b) is an edge of g, or a and
+    b both touch one component of the subgraph induced on `subset`.
     """
     vmask = mask_of(g, subset)
-    rest = [v for v in g.vertices if not vmask >> _bit_index(g)[v] & 1]
-    adj = _adjacency(g)
     idx = _bit_index(g)
-    edges = []
-    for a, b in itertools.combinations(rest, 2):
-        # reachability from a to b through vmask: flood within vmask | {a,b}
-        allowed = vmask | 1 << idx[a] | 1 << idx[b]
-        seen = 1 << idx[a]
-        frontier = seen
-        hit = False
-        target = 1 << idx[b]
-        while frontier and not hit:
-            nxt = 0
-            f = frontier
-            while f:
-                bbit = f & -f
-                f ^= bbit
-                nxt |= adj[bbit.bit_length() - 1]
-            nxt &= allowed & ~seen
-            if nxt & target:
-                hit = True
-            seen |= nxt
-            frontier = nxt
-        if hit:
-            edges.append((a, b))
+    adj = _adjacency(g)
+    rest = [v for v in g.vertices if not vmask >> idx[v] & 1]
+    edges = {(a, b) for a, b in g.edges if not (vmask >> idx[a] | vmask >> idx[b]) & 1}
+    for comp in component_masks(g, vmask):
+        touching = [v for v in rest if adj[idx[v]] & comp]
+        edges.update(itertools.combinations(touching, 2))
     return Graph(tuple(rest), tuple(sorted(edges)))
 
 

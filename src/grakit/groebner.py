@@ -23,7 +23,7 @@ from .engine import (
     hypercom_relations,
 )
 from .exactla import ChainComplex, QMatrix, _homology, _rank_mod_p, rank
-from .graphs import Graph, labels_of, mask_of
+from .graphs import Graph, _bit_index, labels_of
 from .tubings import (
     DEFAULT_CAP,
     NestedSet,
@@ -31,8 +31,10 @@ from .tubings import (
     _check_host,
     _tube_key,
     _tube_masks,
+    descents,
     enumerate_nested,
     lex_key,
+    lift_node_tube,
     nested_tree,
     node_graph,
     node_insertions,
@@ -255,8 +257,8 @@ def weight2_leading_tubes(g: Graph, system: str) -> frozenset:
                 continue
             t = labels_of(g, m)
             nbrs = [
-                w for w in g.vertices
-                if not m >> _bit(g, w) & 1 and (m | 1 << _bit(g, w)) in tset
+                w for w, i in _bit_index(g).items()
+                if not m >> i & 1 and (m | 1 << i) in tset
             ]
             if all(w > t[-1] for w in nbrs):
                 out.append(t)
@@ -267,10 +269,6 @@ def weight2_leading_tubes(g: Graph, system: str) -> frozenset:
         return frozenset()
     keep = min(basis, key=prec_key)
     return frozenset(t for t in basis if t != keep)
-
-
-def _bit(g: Graph, v: int) -> int:
-    return g.vertices.index(v)
 
 
 def hyper_leading_tubes_by_order(g: Graph) -> frozenset:
@@ -316,44 +314,31 @@ def normal_monomials(g: Graph, system: str, cap: int = DEFAULT_CAP) -> list[Nest
 # ---------------------------------------------------------------------------
 
 def reduction(ns: NestedSet) -> NestedSet:
-    """Drop, from a maximal nested set, every node whose vertex is smaller
-    than its parent's vertex.  The result always contains the root."""
+    """Drop, from a maximal nested set, the child tube of every descent.
+    The result always contains the root."""
     if len(ns) != ns.host.n:
         raise ValueError("reduction requires a maximal nested set")
-    tree = nested_tree(ns)
-    vertex_of = {t: tree.labels[t][0] for t in ns.tubes}
-    drop = set()
-    for t in ns.tubes:
-        p = tree.parent[t]
-        if p is not None and vertex_of[t] < vertex_of[p]:
-            drop.add(t)
-    return NestedSet(ns.host, tuple(t for t in ns.tubes if t not in drop))
+    labels = nested_tree(ns).labels
+    drop = {v for v, _ in descents(ns)}
+    return NestedSet(ns.host, tuple(t for t in ns.tubes if labels[t][0] not in drop))
 
 
 def induction(ns: NestedSet) -> NestedSet:
     """Complete an augmented nested set to a maximal one.
 
-    While some node label has more than one vertex, take an inclusion-maximal
-    such node, its minimal label vertex v, and insert the smallest compatible
-    tube containing v: the union of v with the children adjacent to it.
+    While some node label has more than one vertex, take the largest such
+    node t in (size, lexicographic) order, which is inclusion-maximal among
+    them, and its minimal label vertex v, and insert the lift of the node
+    tube {v} at t: the smallest compatible tube containing v, which is v
+    together with the children of t adjacent to it.
     """
     g = ns.host
     if not ns.augmented:
         raise ValueError("induction requires an augmented nested set")
-    tset = _tube_masks(g)
     current = ns
     while len(current) < g.n:
         tree = nested_tree(current)
-        big = [t for t in current.tubes if len(tree.labels[t]) > 1]
-        maximal = [t for t in big if not any(set(t) < set(u) for u in big)]
-        t = max(maximal, key=_tube_key)
-        v = min(tree.labels[t])
-        vmask = 1 << _bit(g, v)
-        new = vmask
-        for c in tree.children[t]:
-            cmask = mask_of(g, c)
-            if (cmask | vmask) in tset:
-                new |= cmask
-        lifted = labels_of(g, new)
+        t = max((t for t in current.tubes if len(tree.labels[t]) > 1), key=_tube_key)
+        lifted = lift_node_tube(current, t, tree.labels[t][:1])
         current = NestedSet(g, tuple(sorted(current.tubes + (lifted,), key=_tube_key)))
     return current

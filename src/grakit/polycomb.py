@@ -13,7 +13,8 @@ from .graphs import Graph, NotConnectedError, is_connected
 from .tubings import (
     DEFAULT_CAP,
     _check_host,
-    _iter_maximal_masks,
+    _iter_nested_masks,
+    _mask_tree,
     _nested_size_counts,
 )
 
@@ -54,35 +55,16 @@ def h_poly_from_f(f: list[int]) -> Polynomial:
     return trim(out)
 
 
-def _descent_count(g: Graph, masks: tuple[int, ...]) -> int:
-    """Descents of a maximal family given by its proper tube masks: pairs
-    where a node's vertex is smaller than its parent's vertex.  Bit order
-    agrees with label order, so bits compare like vertices."""
-    nodes = list(masks) + [(1 << g.n) - 1]
-    vertex = {}
-    for t in nodes:
-        lam = t
-        for s in nodes:
-            if s != t and s & t == s:
-                lam &= ~s
-        vertex[t] = lam.bit_length() - 1
-    count = 0
-    for t in masks:
-        parent = min(
-            (s for s in nodes if s != t and s & t == t),
-            key=lambda s: s.bit_count(),
-        )
-        if vertex[t] < vertex[parent]:
-            count += 1
-    return count
-
-
 def h_poly_from_descents(g: Graph, cap: int = DEFAULT_CAP) -> Polynomial:
-    """Descent generating polynomial over the maximal augmented nested sets."""
+    """Descent generating polynomial over the maximal augmented nested sets.
+    Their labels are single bits, and bit order agrees with label order, so
+    a descent (child vertex below its parent's) compares label masks."""
     _check_host(g, cap)
+    full = (1 << g.n) - 1
     coeffs = [0] * g.n
-    for masks in _iter_maximal_masks(g):
-        coeffs[_descent_count(g, masks)] += 1
+    for masks in _iter_nested_masks(g, g.n - 1):
+        parent, label = _mask_tree(sorted(masks, key=int.bit_count) + [full])
+        coeffs[sum(label[i] < label[j] for i, j in enumerate(parent[:-1]))] += 1
     return trim(coeffs)
 
 

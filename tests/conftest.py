@@ -13,7 +13,8 @@ from functools import lru_cache
 
 import pytest
 
-from grakit import Graph, is_connected, make_graph
+from grakit import Graph, GrComX, NestedSet, is_connected, make_graph
+from grakit.engine import _inversion_sign
 
 
 # ---------------------------------------------------------------------------
@@ -166,3 +167,60 @@ def oracle_automorphisms(g: Graph) -> list[dict]:
         if {frozenset((m[a], m[b])) for a, b in g.edges} == es:
             out.append(m)
     return out
+
+
+def subset_precedes(a, b) -> bool:
+    """Strict order ≺ on vertex subsets, straight from its definition: a
+    comes first when its ascending sequence is a proper initial segment of
+    b's, or is greater at the first difference.  Extends proper inclusion."""
+    sa, sb = sorted(a), sorted(b)
+    for x, y in zip(sa, sb):
+        if x != y:
+            return x > y
+    return len(sa) < len(sb)
+
+
+def nested_lex_less(t1: NestedSet, t2: NestedSet) -> bool:
+    """Strict total order ◁ on equal-cardinality nested sets of one host.
+
+    Compare unions under ≺; on a tie, delete the ≺-maximal tube from each
+    side and recurse.  Equal nested sets compare false.
+    """
+    if t1.host != t2.host:
+        raise ValueError("nested sets must share a host")
+    if len(t1) != len(t2):
+        raise ValueError("nested sets must have equal cardinality")
+
+    def prec_max(family):
+        best = family[0]
+        for t in family[1:]:
+            if subset_precedes(best, t):
+                best = t
+        return best
+
+    a = list(t1.tubes)
+    b = list(t2.tubes)
+    while a:
+        ua = sorted(set().union(*map(set, a)))
+        ub = sorted(set().union(*map(set, b)))
+        if ua != ub:
+            return subset_precedes(ua, ub)
+        a.remove(prec_max(a))
+        b.remove(prec_max(b))
+    return False
+
+
+# ---------------------------------------------------------------------------
+# Negative control.
+# ---------------------------------------------------------------------------
+
+class _DescendingMergeGrComX(GrComX):
+    """Square-zero model whose merge sign sorts the odd factors into
+    descending vertex order: a sign mutation that breaks the consecutive
+    axiom."""
+
+    def _merge_sign(self, seq: list[tuple[int, int]]) -> int:
+        return _inversion_sign([-v for v, d in seq if d % 2])
+
+
+BROKEN_GERST = _DescendingMergeGrComX((0, 1))

@@ -14,7 +14,6 @@ from itertools import combinations
 import pytest
 
 from grakit import (
-    BROKEN_GERST,
     GRCOM,
     GRGERST,
     QMatrix,
@@ -42,7 +41,7 @@ from grakit import (
     reduction,
     relation_pairing,
 )
-from conftest import random_connected_graphs
+from conftest import BROKEN_GERST, random_connected_graphs
 
 
 @contextmanager

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from grakit import (
-    BROKEN_GERST,
     GRCOM,
     GRGERST,
     GerstElement,
+    GrComX,
     check_axioms,
     check_gravity_relations,
     derivation,
@@ -20,7 +20,6 @@ from grakit import (
     gravity_dims,
     gravity_generator,
     gravity_relations,
-    grcom_x_compose,
     hypercom_relations,
     kernel_basis,
     make_graph,
@@ -28,6 +27,7 @@ from grakit import (
     relation_pairing,
 )
 from grakit.engine import gerst_basis_element, gerst_unit
+from conftest import BROKEN_GERST
 
 
 def test_free_weight2_basis_counts():
@@ -47,11 +47,11 @@ def test_grcom_compose_is_basis_to_basis():
     g = family("path", 3)
     outer = {(0,): Fraction(1)}         # on the remaining vertex 3
     part = {(0, 0): Fraction(1)}        # on the tube {1, 2}
-    got = grcom_x_compose((0,), g, (1, 2), outer, [part])
+    got = GrComX((0,)).compose(g, (1, 2), outer, [part])
     assert got == {(0, 0, 0): Fraction(1)}
     # disconnected removal: one factor per component, ordered by minimum
-    got = grcom_x_compose((0,), g, (1, 3), {(0,): Fraction(1)},
-                          [{(0,): Fraction(1)}, {(0,): Fraction(1)}])
+    got = GrComX((0,)).compose(g, (1, 3), {(0,): Fraction(1)},
+                               [{(0,): Fraction(1)}, {(0,): Fraction(1)}])
     assert got == {(0, 0, 0): Fraction(1)}
 
 

@@ -110,16 +110,20 @@ def test_reconnected_complement_examples():
 
 
 def test_reconnected_complement_against_path_oracle():
+    # the second half draws up to 8 permuted labels from 1..20, so bit
+    # positions and labels differ
     rng = random.Random(4)
-    for _ in range(60):
-        n = rng.randint(1, 6)
+    for trial in range(120):
+        gapped = trial >= 60
+        n = rng.randint(1, 8 if gapped else 6)
+        labels = rng.sample(range(1, 21), n) if gapped else list(range(1, n + 1))
         edges = [
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
+            (labels[i], labels[j])
+            for i in range(n)
+            for j in range(i + 1, n)
             if rng.random() < 0.5
         ]
-        g = make_graph(range(1, n + 1), edges)
+        g = make_graph(labels, edges)
         removed = [v for v in g.vertices if rng.random() < 0.4]
         got = reconnected_complement(g, removed)
         assert set(got.edges) == oracle_reconnected_edges(g, removed)

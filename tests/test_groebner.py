@@ -5,11 +5,13 @@ import pytest
 from grakit import (
     boundary,
     cobar_complex,
+    descents,
     family,
     free_weight2_basis,
     f_vector,
     gravity_dims,
     gravity_relations,
+    h_poly_from_descents,
     homology_dims,
     hyper_leading_tubes_by_order,
     hypercom_relations,
@@ -20,12 +22,14 @@ from grakit import (
     make_graph,
     maximal_nested,
     nested_set,
+    nested_tree,
     normal_monomials,
     proper_tubes,
     quadratic_divisor,
     reduction,
     weight2_leading_tubes,
 )
+from grakit.polycomb import trim
 from grakit.tubings import enumerate_nested, lex_key
 
 
@@ -273,6 +277,22 @@ def test_reduction_examples():
     assert reduction(descent_free) == descent_free
     with pytest.raises(ValueError):
         reduction(nested_set(p3, [[1, 2, 3]]))
+
+
+def test_reduction_drops_descent_children_and_h_counts_descents(classes_upto_5):
+    # the child tube of a descent (v, w) is the node labelled v, whose
+    # parent is the node labelled w
+    for g in classes_upto_5:
+        histogram = [0] * g.n
+        for ns in maximal_nested(g):
+            tree = nested_tree(ns)
+            node = {tree.labels[t][0]: t for t in ns.tubes}
+            pairs = descents(ns)
+            assert all(tree.parent[node[v]] == node[w] for v, w in pairs)
+            children = {node[v] for v, _ in pairs}
+            assert reduction(ns).tubes == tuple(t for t in ns.tubes if t not in children)
+            histogram[len(pairs)] += 1
+        assert h_poly_from_descents(g) == trim(histogram)
 
 
 def test_induction_examples():

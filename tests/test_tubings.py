@@ -14,18 +14,16 @@ from grakit import (
     is_nested,
     make_graph,
     maximal_nested,
-    nested_lex_less,
     nested_set,
     nested_set_from_json,
     nested_tree,
     proper_tubes,
     quadratic_divisor,
     reconnected_complement,
-    subset_precedes,
     tubes,
 )
-from grakit.tubings import NestedSet, lex_key
-from conftest import connected_classes_upto, oracle_tubes
+from grakit.tubings import NestedSet, lex_key, prec_key
+from conftest import connected_classes_upto, nested_lex_less, oracle_tubes, subset_precedes
 
 
 def test_tubes_path3():
@@ -108,7 +106,11 @@ def test_nested_count_matches_f_vector(classes_upto_5):
     from grakit import f_vector
 
     for g in classes_upto_5:
-        assert sum(1 for _ in enumerate_nested(g, augmented=True)) == sum(f_vector(g))
+        augmented = list(enumerate_nested(g, augmented=True))
+        assert len(augmented) == sum(f_vector(g))
+        maximal = maximal_nested(g)
+        assert maximal == [ns for ns in augmented if len(ns) == g.n]
+        assert len(maximal) == f_vector(g)[0]
 
 
 def test_maximal_nested_counts():
@@ -212,6 +214,7 @@ def test_subset_precedes_is_total_order():
     ]
     for a, b in itertools.combinations(ground, 2):
         assert subset_precedes(a, b) != subset_precedes(b, a)
+        assert subset_precedes(a, b) == (prec_key(a) < prec_key(b))
     for a, b, c in itertools.permutations(ground, 3):
         if subset_precedes(a, b) and subset_precedes(b, c):
             assert subset_precedes(a, c)
@@ -224,6 +227,7 @@ def test_subset_precedes_is_total_order():
 def test_subset_precedes_extends_inclusion(a, b):
     if a < b:
         assert subset_precedes(a, b)
+    assert subset_precedes(a, b) == (prec_key(a) < prec_key(b))
 
 
 def test_nested_lex_less_examples():
