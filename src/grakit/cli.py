@@ -69,14 +69,11 @@ def _emit(report: dict, fmt: str, csv_rows=None, csv_header=None) -> None:
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     elif fmt == "text":
-        for key, value in report.items():
+        # a JSON round trip prints tuples as the lists the json form shows
+        for key, value in json.loads(json.dumps(report)).items():
             print(f"{key}: {value}")
     else:
         raise GraphError(f"unsupported format {fmt!r} for this command")
-
-
-def _ns_json(ns: NestedSet) -> list:
-    return [list(t) for t in ns.tubes]
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +89,7 @@ def _cmd_tubes(args):
 
 def _cmd_nested(args):
     g = _load_graph(args.graph)
-    sets = [
-        _ns_json(ns)
-        for ns in tubings.enumerate_nested(g, augmented=args.augmented, cap=args.cap)
-    ]
+    sets = [ns.tubes for ns in tubings.enumerate_nested(g, args.augmented, cap=args.cap)]
     report = {
         "graph": args.graph,
         "augmented": args.augmented,
@@ -107,7 +101,7 @@ def _cmd_nested(args):
 
 def _cmd_maximal(args):
     g = _load_graph(args.graph)
-    sets = [_ns_json(ns) for ns in tubings.maximal_nested(g, cap=args.cap)]
+    sets = [ns.tubes for ns in tubings.maximal_nested(g, cap=args.cap)]
     report = {"graph": args.graph, "count": len(sets), "nested_sets": sets}
     return report, EXIT_OK, None
 
@@ -205,7 +199,7 @@ def _cmd_reduce(args):
     g = _load_graph(args.graph)
     ns = _load_nested(g, args.tau)
     red = groebner.reduction(ns)
-    report = {"graph": args.graph, "tau": _ns_json(ns), "reduced": _ns_json(red)}
+    report = {"graph": args.graph, "tau": ns.tubes, "reduced": red.tubes}
     return report, EXIT_OK, None
 
 
@@ -213,7 +207,7 @@ def _cmd_induce(args):
     g = _load_graph(args.graph)
     ns = _load_nested(g, args.omega)
     ind = groebner.induction(ns)
-    report = {"graph": args.graph, "omega": _ns_json(ns), "induced": _ns_json(ind)}
+    report = {"graph": args.graph, "omega": ns.tubes, "induced": ind.tubes}
     return report, EXIT_OK, None
 
 
@@ -240,9 +234,9 @@ def _sweep_value(family: str, n: int, command: str, system: str, cap: int):
 
     g = make_family(family, n)
     if command == "vertex-count":
-        return len(tubings.maximal_nested(g, cap=cap))
+        return polycomb.f_vector(g, cap=cap)[0]
     if command == "nested-count":
-        return sum(1 for _ in tubings.enumerate_nested(g, augmented=True, cap=cap))
+        return sum(polycomb.f_vector(g, cap=cap))
     if command == "grav-dim":
         return engine.gravity_dims(g).total
     if command == "normal-count":
@@ -253,7 +247,8 @@ def _sweep_value(family: str, n: int, command: str, system: str, cap: int):
 def _cmd_sweep(args):
     lo, _, hi = args.range.partition("..")
     ns = range(int(lo), int(hi or lo) + 1)
-    jobs = max(1, args.jobs)
+    # threads beyond the rows or the cores could only wait
+    jobs = max(1, min(args.jobs, len(ns), os.cpu_count() or 1))
     worker = lambda n: _sweep_value(args.family, n, args.command, args.system, args.cap)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

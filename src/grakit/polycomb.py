@@ -9,14 +9,8 @@ the polytope.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from .graphs import Graph, NotConnectedError, is_connected
-from .tubings import (
-    DEFAULT_CAP,
-    _check_host,
-    _iter_nested_masks,
-    _mask_tree,
-    _nested_size_counts,
-)
+from .graphs import Graph, NotConnectedError, component_masks, is_connected
+from .tubings import DEFAULT_CAP, _check_host, _iter_nested_masks, _mask_tree, _tube_masks
 
 Polynomial = list[int]  # coefficient list, index = degree, trailing zeros trimmed
 
@@ -31,11 +25,35 @@ def trim(coeffs: list[int]) -> Polynomial:
 
 def f_vector(g: Graph, cap: int = DEFAULT_CAP) -> list[int]:
     """Face numbers f_0..f_{n-1}; f_i counts nested sets of cardinality n - i,
-    so f_{n-1} = 1 stands for the polytope itself."""
+    so f_{n-1} = 1 stands for the polytope itself.
+
+    Counted without enumeration: the polynomial P(T) whose coefficient k
+    counts the augmented nested sets of G[T] with k tubes obeys
+
+        P(T) = x * sum over nonempty L ⊆ T of prod over components C of T - L of P(C).
+
+    It is exact because it is a bijection.  L is the root's label, nonempty
+    as the root's children are proper, disjoint and pairwise non-adjacent
+    tubes of the connected G[T]; so the children are the components of T - L.
+    Conversely any L with any nested sets on the components makes one.
+    """
     _check_host(g, cap)
-    n = g.n
-    by_proper_count = _nested_size_counts(g)
-    return [by_proper_count[n - 1 - i] for i in range(n)]
+    # A polynomial is kept as its value at x = 2^w.  A nested set has at most
+    # n tubes out of fewer than 2^n, so every count is below 2^w and the
+    # coefficients never carry into each other: + and * stay exact.
+    w = g.n * g.n
+    poly: dict[int, int] = {}  # tube mask -> P, smaller tubes first
+    for mask in sorted(_tube_masks(g), key=int.bit_count):
+        p = 0
+        label = mask
+        while label:
+            prod = 1 << w
+            for c in component_masks(g, mask & ~label):
+                prod *= poly[c]
+            p += prod
+            label = (label - 1) & mask
+        poly[mask] = p
+    return [p >> (g.n - i) * w & ((1 << w) - 1) for i in range(g.n)]
 
 
 def h_poly_from_f(f: list[int]) -> Polynomial:

@@ -7,9 +7,12 @@ full vertex set.  Tubes are encoded as sorted vertex tuples and nested sets
 as tuples of tubes sorted by (size, lexicographic), which makes equality
 structural.
 
-Internally tubes are bitmasks: one backtracker (:func:`_iter_nested_masks`)
-enumerates nested sets, one rule (:func:`_mask_tree`) derives their trees,
-and ◁ exists only as the sort key :func:`lex_key`.
+Internally tubes are bitmasks.  One per-host table (:func:`_compat_table`)
+gives each tube its labels, canonical rank and compatible tubes; the one
+backtracker (:func:`_iter_nested_masks`) walks it to enumerate nested sets,
+one rule (:func:`_mask_tree`) derives their trees, and ◁ exists only as the
+sort key :func:`lex_key`.  Face counts need no enumeration (see
+:func:`grakit.polycomb.f_vector`).
 """
 
 from __future__ import annotations
@@ -105,8 +108,8 @@ def _tube_masks(g: Graph) -> frozenset:
 
 
 def _is_tube(g: Graph, t: Iterable[int]) -> bool:
-    t = tuple(t)
-    return bool(t) and mask_of(g, t) in _tube_masks(g)
+    t = tuple(t)  # a vertex listed twice makes no tube
+    return bool(t) and len(set(t)) == len(t) and mask_of(g, t) in _tube_masks(g)
 
 
 def _compatible(g: Graph, a: int, b: int) -> bool:
@@ -153,20 +156,23 @@ def _check_host(g: Graph, cap: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _compat_table(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Proper tube masks in ≺ order, plus per-tube bitsets of the
-    compatible tubes with larger index."""
-    tmasks = _tube_masks(g)
+def _compat_table(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], dict, dict]:
+    """The per-host tube table: proper tube masks in ≺ order, per-tube
+    bitsets of the compatible tubes with larger index, and for every tube
+    mask (the full set included) its label tuple and its rank in the
+    canonical (size, lexicographic) order of tubes."""
+    labels = {m: labels_of(g, m) for m in _tube_masks(g)}
     order = sorted(
-        (m for m in tmasks if m != (1 << g.n) - 1),
-        key=lambda m: prec_key(labels_of(g, m)),
+        (m for m in labels if m != (1 << g.n) - 1),
+        key=lambda m: prec_key(labels[m]),
     )
     comp = [0] * len(order)
     for j in range(len(order)):
         for i in range(j + 1, len(order)):
             if _compatible(g, order[i], order[j]):
                 comp[j] |= 1 << i
-    return tuple(order), tuple(comp)
+    rank = {m: r for r, m in enumerate(sorted(labels, key=lambda m: _tube_key(labels[m])))}
+    return tuple(order), tuple(comp), labels, rank
 
 
 def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -176,7 +182,7 @@ def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int,
     With ``size``, only families of exactly that many tubes are yielded, and
     a branch is cut once its remaining candidates cannot reach the size.
     """
-    order, comp = _compat_table(g)
+    order, comp, _, _ = _compat_table(g)
     chosen: list[int] = []
 
     def backtrack(allowed: int) -> Iterator[tuple[int, ...]]:
@@ -197,32 +203,6 @@ def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int,
     yield from backtrack((1 << len(order)) - 1)
 
 
-def _nested_size_counts(g: Graph) -> list[int]:
-    """counts[k] = number of compatible families of exactly k proper tubes.
-
-    The same walk as :func:`_iter_nested_masks`, kept apart because it only
-    counts: counting through the generator was measured 2.2-2.6x slower on
-    complete:8, which the f-vector of large hosts would feel.
-    """
-    order, comp = _compat_table(g)
-    counts = [0] * (len(order) + 2)
-
-    def walk(allowed: int, depth: int) -> None:
-        counts[depth] += 1
-        a = allowed
-        while a:
-            low = a & -a
-            a ^= low
-            walk(a & comp[low.bit_length() - 1], depth + 1)
-
-    walk((1 << len(order)) - 1, 0)
-    return counts
-
-
-def _family(g: Graph, masks: tuple[int, ...]) -> tuple[Tube, ...]:
-    return tuple(sorted((labels_of(g, m) for m in masks), key=_tube_key))
-
-
 def enumerate_nested(
     g: Graph,
     augmented: bool,
@@ -236,9 +216,10 @@ def enumerate_nested(
     only when ``include_empty`` is set.
     """
     _check_host(g, cap)
+    _, _, labels, rank = _compat_table(g)
     full = g.vertices
     for masks in _iter_nested_masks(g):
-        ts = _family(g, masks)
+        ts = tuple(map(labels.__getitem__, sorted(masks, key=rank.__getitem__)))
         if augmented:
             yield NestedSet(g, ts + (full,))
         elif ts or include_empty:
@@ -248,8 +229,10 @@ def enumerate_nested(
 def maximal_nested(g: Graph, cap: int = DEFAULT_CAP) -> list[NestedSet]:
     """Augmented nested sets of the maximal cardinality |V|."""
     _check_host(g, cap)
+    _, _, labels, rank = _compat_table(g)
     full = g.vertices
-    return [NestedSet(g, _family(g, masks) + (full,))
+    return [NestedSet(g, tuple(map(labels.__getitem__, sorted(masks, key=rank.__getitem__)))
+                      + (full,))
             for masks in _iter_nested_masks(g, g.n - 1)]
 
 

@@ -66,6 +66,38 @@ def test_sweep_single_row_and_jobs_determinism(capsys):
         ["2", "4", "8", "16"]
 
 
+def test_sweep_jobs_clamped_to_rows_and_cores(capsys, monkeypatch):
+    import grakit.cli as cli
+
+    started = []
+
+    class RecordingPool:  # runs serially, so no thread is started
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    argv = ["sweep", "--family", "path", "--command", "vertex-count", "--jobs", "1000"]
+    code, out, _ = run(capsys, *argv, "--range", "2..6")
+    assert code == 0 and started == [3]
+    assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["2", "5", "14", "42", "132"]
+    code, _, _ = run(capsys, *argv, "--range", "2..3")
+    assert code == 0 and started == [3, 2]
+    code, _, _ = run(capsys, *argv, "--range", "4..4")  # one row runs serially
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one core
+    code2, _, _ = run(capsys, *argv, "--range", "2..6")
+    assert code == code2 == 0 and started == [3, 2]
+
+
 def test_tree_dot(capsys):
     code, out, _ = run(capsys, "tree", "--graph", "path:3",
                        "--tau", '{"tubes": [[1], [1, 2], [1, 2, 3]]}')
@@ -179,6 +211,8 @@ def test_jobs_only_on_sweep():
     ["reduce", "--graph", "path:3", "--tau", '{"tubes": 5}'],
     ["reduce", "--graph", "path:3", "--tau", '{"tubes": [[1,"a"]]}'],
     ["reduce", "--graph", "path:3", "--tau", '[1]'],
+    ["tree", "--graph", "path:3", "--tau", '{"tubes":[[2,2],[1,2,3]]}'],
+    ["reduce", "--graph", "path:3", "--tau", '{"tubes":[[1,1],[1,2],[1,2,3]]}'],
 ])
 def test_malformed_json_is_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)

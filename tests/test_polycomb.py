@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -78,3 +80,22 @@ def test_h_identity_and_symmetry_small(classes_upto_5):
         h = h_poly_from_f(f_vector(g))
         assert h == h_poly_from_descents(g)
         assert h == h[::-1]
+
+
+def test_f_vector_closed_forms_at_reach():
+    # Fubini numbers count ordered set partitions: faces of the permutohedron.
+    fubini = [1]
+    for n in range(1, 11):
+        fubini.append(sum(math.comb(n, k) * fubini[n - k] for k in range(1, n + 1)))
+    assert fubini[8] == 545835
+    for n in range(1, 11):
+        f = f_vector(family("complete", n), cap=12)
+        assert sum(f) == fubini[n]
+        assert f[0] == math.factorial(n)
+    # Little Schröder numbers count dissections of an (n+2)-gon (Kirkman-Cayley:
+    # j diagonals in C(n-1, j) C(n+1+j, j) / (j+1) ways): faces of the associahedron.
+    for n in range(1, 13):
+        schroeder = sum(math.comb(n - 1, j) * math.comb(n + 1 + j, j) // (j + 1)
+                        for j in range(n))
+        assert n != 9 or schroeder == 103049
+        assert sum(f_vector(family("path", n), cap=12)) == schroeder

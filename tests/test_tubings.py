@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from grakit import (
     CapExceededError,
+    GraphError,
     NotConnectedError,
     descents,
     enumerate_nested,
@@ -23,7 +24,13 @@ from grakit import (
     tubes,
 )
 from grakit.tubings import NestedSet, lex_key, prec_key
-from conftest import connected_classes_upto, nested_lex_less, oracle_tubes, subset_precedes
+from conftest import (
+    connected_classes_upto,
+    nested_lex_less,
+    oracle_tubes,
+    random_connected_graphs,
+    subset_precedes,
+)
 
 
 def test_tubes_path3():
@@ -102,15 +109,21 @@ def test_enumerate_nested_p3_count_and_determinism():
     assert len(set(first)) == 11
 
 
-def test_nested_count_matches_f_vector(classes_upto_5):
+def test_nested_count_matches_f_vector(classes_upto_6):
+    # f_vector counts by a recursion over tubes; the backtracker enumerates.
     from grakit import f_vector
 
-    for g in classes_upto_5:
+    rng = random.Random(7)
+    sevens = []
+    for g in random_connected_graphs(7, 4, seed=7077, p=0.35):
+        labels = dict(zip(g.vertices, rng.sample(range(1, 40), 7)))
+        sevens.append(make_graph(labels.values(), [(labels[a], labels[b]) for a, b in g.edges]))
+    for g in classes_upto_6 + sevens:
         augmented = list(enumerate_nested(g, augmented=True))
-        assert len(augmented) == sum(f_vector(g))
+        sizes = [len(ns) for ns in augmented]
+        assert f_vector(g) == [sizes.count(g.n - i) for i in range(g.n)]
         maximal = maximal_nested(g)
         assert maximal == [ns for ns in augmented if len(ns) == g.n]
-        assert len(maximal) == f_vector(g)[0]
 
 
 def test_maximal_nested_counts():
@@ -129,6 +142,11 @@ def test_nested_set_validation():
     # complete graphs reject disjoint singleton pairs
     with pytest.raises(ValueError):
         nested_set(family("complete", 4), [[1], [3, 4], [1, 2, 3, 4]])
+    # a tube that lists a vertex twice is no tube
+    with pytest.raises(GraphError):
+        nested_set(p3, [[2, 2], [1, 2, 3]])
+    with pytest.raises(GraphError):
+        nested_set(p3, [[1, 1], [1, 2], [1, 2, 3]])
 
 
 def test_nested_set_json_roundtrip():
