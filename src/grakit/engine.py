@@ -30,7 +30,7 @@ from .graphs import (
     mask_of,
     reconnected_complement,
 )
-from .tubings import DEFAULT_CAP, NestedSet, prec_key, proper_tubes
+from .tubings import DEFAULT_CAP, NestedSet, _check_host, _proper_masks, proper_tubes
 
 # An element of a graded-product model over a graph is a dict mapping
 # assignments (one generator index per vertex, in ascending vertex order)
@@ -380,9 +380,9 @@ def free_weight2_basis(g: Graph, cap: int = DEFAULT_CAP) -> list[NestedSet]:
     _require_connected(g)
     if g.n < 2:
         raise ValueError("weight-two basis needs at least two vertices")
-    full = g.vertices
-    ts = sorted(proper_tubes(g, cap), key=prec_key)
-    return [NestedSet(g, tuple(sorted((t, full), key=lambda u: (len(u), u)))) for t in ts]
+    _check_host(g, cap)
+    full = (1 << g.n) - 1
+    return [NestedSet(g, (m, full)) for m in _proper_masks(g)]
 
 
 def gravity_relations(g: Graph, cap: int = DEFAULT_CAP) -> RelationSet:

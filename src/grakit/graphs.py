@@ -217,14 +217,19 @@ def reconnected_complement(g: Graph, subset: Iterable[int]) -> Graph:
     b both touch one component of the subgraph induced on `subset`.
     """
     vmask = mask_of(g, subset)
-    idx = _bit_index(g)
+    return _reconnect(g, (1 << g.n) - 1 & ~vmask, vmask)
+
+
+def _reconnect(g: Graph, keep: int, removed: int) -> Graph:
+    """The graph on the vertices of `keep` in which two are joined when they
+    are adjacent in g or both touch one component of g[removed]."""
     adj = _adjacency(g)
-    rest = [v for v in g.vertices if not vmask >> idx[v] & 1]
-    edges = {(a, b) for a, b in g.edges if not (vmask >> idx[a] | vmask >> idx[b]) & 1}
-    for comp in component_masks(g, vmask):
-        touching = [v for v in rest if adj[idx[v]] & comp]
-        edges.update(itertools.combinations(touching, 2))
-    return Graph(tuple(rest), tuple(sorted(edges)))
+    bits = [i for i in range(g.n) if keep >> i & 1]
+    edges = {(i, j) for i in bits for j in bits if i < j and adj[i] >> j & 1}
+    for comp in component_masks(g, removed):
+        edges.update(itertools.combinations([i for i in bits if adj[i] & comp], 2))
+    vs = g.vertices
+    return Graph(tuple(vs[i] for i in bits), tuple((vs[i], vs[j]) for i, j in sorted(edges)))
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:

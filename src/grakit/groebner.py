@@ -23,23 +23,19 @@ from .engine import (
     hypercom_relations,
 )
 from .exactla import ChainComplex, QMatrix, _homology, _rank_mod_p, rank
-from .graphs import Graph, _bit_index, labels_of
+from .graphs import Graph
 from .tubings import (
     DEFAULT_CAP,
     NestedSet,
-    Tube,
     _check_host,
-    _tube_key,
-    _tube_masks,
-    descents,
+    _children,
+    _divisor,
+    _insertions,
+    _mask_tree,
+    _reach,
+    _tube_table,
     enumerate_nested,
     lex_key,
-    lift_node_tube,
-    nested_tree,
-    node_graph,
-    node_insertions,
-    prec_key,
-    quadratic_divisor,
 )
 
 SYSTEMS = ("grcom", "grav", "hyper")
@@ -49,26 +45,13 @@ SYSTEMS = ("grcom", "grav", "hyper")
 # The cobar-type complex: cellular chains of the graph associahedron.
 # ---------------------------------------------------------------------------
 
-def _separation_sign(vd: tuple[int, ...], s: Tube) -> int:
-    """Koszul sign separating the odd factors of s to the back of the
-    ascending tensor over vd: parity of pairs (t in s) < (c outside s)."""
-    sset = set(s)
-    inv = sum(1 for t in s for c in vd if c not in sset and t < c)
+def _separation_sign(label: int, x: int) -> int:
+    """Koszul sign separating the odd factors of x to the back of the
+    ascending tensor over a node label: parity of the pairs (t in x) below
+    (c in the label outside x)."""
+    rest = label & ~x
+    inv = sum((rest >> b).bit_count() for b in range(x.bit_length()) if x >> b & 1)
     return -1 if inv % 2 else 1
-
-
-def _reorder_sign(items: list[tuple[tuple, int]]) -> int:
-    """Sign sorting (key, degree) items by key: each transposition of two
-    odd-degree items contributes -1."""
-    arr = list(items)
-    sign = 1
-    for i in range(len(arr)):
-        for j in range(len(arr) - 1 - i):
-            if arr[j][0] > arr[j + 1][0]:
-                if arr[j][1] % 2 and arr[j + 1][1] % 2:
-                    sign = -sign
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-    return sign
 
 
 @lru_cache(maxsize=200000)
@@ -79,30 +62,27 @@ def boundary(ns: NestedSet) -> dict:
     -(-1)^(|V_D| - |S|) times the separation sign of S in D; the global sign
     combines the Koszul prefix over the nodes preceding the refined one in
     canonical order with the reordering of the two new nodes into canonical
-    position.  The convention is pinned by the squared differential
-    vanishing; the complex it defines has the homology of a point.
+    position: the lifted tube, smaller than its node, moves past that node
+    and every earlier node of larger rank.  The convention is pinned by the
+    squared differential vanishing; the complex it defines has the homology
+    of a point.
     """
     g = ns.host
-    tree = nested_tree(ns)
-    nodes = list(ns.tubes)  # canonical (size, lex) order
-    degs = [len(tree.labels[t]) - 1 for t in nodes]
+    masks = ns.masks  # canonical (size, lex) order
+    rank = _tube_table(g)[1]
+    parent, label = _mask_tree(masks)
+    degs = [m.bit_count() - 1 for m in label]
     out: dict = {}
-    for i, t in enumerate(nodes):
+    for i in range(len(masks)):
         if degs[i] == 0:
             continue
-        delta = node_graph(ns, t)
         prefix = -1 if sum(degs[:i]) % 2 else 1
-        for s, lifted in node_insertions(ns, t):
-            local = -((-1) ** (delta.n - len(s))) * _separation_sign(delta.vertices, s)
-            items = []
-            for j, u in enumerate(nodes):
-                if j == i:
-                    items.append((_tube_key(u), delta.n - len(s) - 1))
-                    items.append((_tube_key(lifted), len(s) - 1))
-                else:
-                    items.append((_tube_key(u), degs[j]))
-            coeff = prefix * local * _reorder_sign(items)
-            ns2 = NestedSet(g, tuple(sorted(ns.tubes + (lifted,), key=_tube_key)))
+        for x, lifted in _insertions(g, label[i], _children(masks, parent, i)):
+            k = x.bit_count()
+            local = -((-1) ** (degs[i] + 1 - k)) * _separation_sign(label[i], x)
+            passed = degs[i] - k + sum(degs[j] for j in range(i) if rank[masks[j]] > rank[lifted])
+            coeff = prefix * local * (-1) ** ((k - 1) * passed)
+            ns2 = NestedSet(g, tuple(sorted(masks + (lifted,), key=rank.__getitem__)))
             out[ns2] = out.get(ns2, 0) + coeff
             if not out[ns2]:
                 del out[ns2]
@@ -249,26 +229,14 @@ def weight2_leading_tubes(g: Graph, system: str) -> frozenset:
     if system == "grav":
         return _pivot_tubes(gravity_relations(g), "lex")
     if system == "hyper":
-        tset = _tube_masks(g)
+        tset = _tube_table(g)[0]
         full = (1 << g.n) - 1
-        out = []
-        for m in tset:
-            if m == full:
-                continue
-            t = labels_of(g, m)
-            nbrs = [
-                w for w, i in _bit_index(g).items()
-                if not m >> i & 1 and (m | 1 << i) in tset
-            ]
-            if all(w > t[-1] for w in nbrs):
-                out.append(t)
-        return frozenset(out)
-    # grcom: identify every pair of weight-two monomials
-    basis = [ns.tubes[0] for ns in free_weight2_basis(g)]
-    if len(basis) <= 1:
-        return frozenset()
-    keep = min(basis, key=prec_key)
-    return frozenset(t for t in basis if t != keep)
+        # no outside neighbor below the tube's largest vertex
+        return frozenset(t for m, t in tset.items() if m != full and not any(
+            (m | 1 << i) in tset for i in range(m.bit_length()) if not m >> i & 1))
+    # grcom: identify every pair of weight-two monomials; the basis comes in
+    # ≺ order, so its first tube is the order-minimal one
+    return frozenset(ns.tubes[0] for ns in free_weight2_basis(g)[1:])
 
 
 def hyper_leading_tubes_by_order(g: Graph) -> frozenset:
@@ -282,15 +250,14 @@ def hyper_leading_tubes_by_order(g: Graph) -> frozenset:
 
 def is_normal(ns: NestedSet, system: str) -> bool:
     """No quadratic divisor of the monomial is a leading term of the system."""
-    full = ns.host.vertices
     if system == "grcom" and len(ns) != ns.host.n:
         return False
-    for t in ns.tubes:
-        if t == full:
-            continue
-        delta, tube = quadratic_divisor(ns, t)
-        if tube in weight2_leading_tubes(delta, system):
-            return False
+    parent, label = _mask_tree(ns.masks)
+    for i, p in enumerate(parent):
+        if p is not None:
+            delta, tube = _divisor(ns.host, ns.masks, parent, label, i)
+            if tube in weight2_leading_tubes(delta, system):
+                return False
     return True
 
 
@@ -318,9 +285,9 @@ def reduction(ns: NestedSet) -> NestedSet:
     The result always contains the root."""
     if len(ns) != ns.host.n:
         raise ValueError("reduction requires a maximal nested set")
-    labels = nested_tree(ns).labels
-    drop = {v for v, _ in descents(ns)}
-    return NestedSet(ns.host, tuple(t for t in ns.tubes if labels[t][0] not in drop))
+    parent, label = _mask_tree(ns.masks)
+    return NestedSet(ns.host, tuple(m for m, p, v in zip(ns.masks, parent, label)
+                                    if p is None or v > label[p]))
 
 
 def induction(ns: NestedSet) -> NestedSet:
@@ -335,10 +302,12 @@ def induction(ns: NestedSet) -> NestedSet:
     g = ns.host
     if not ns.augmented:
         raise ValueError("induction requires an augmented nested set")
-    current = ns
-    while len(current) < g.n:
-        tree = nested_tree(current)
-        t = max((t for t in current.tubes if len(tree.labels[t]) > 1), key=_tube_key)
-        lifted = lift_node_tube(current, t, tree.labels[t][:1])
-        current = NestedSet(g, tuple(sorted(current.tubes + (lifted,), key=_tube_key)))
-    return current
+    rank = _tube_table(g)[1]
+    masks = ns.masks
+    while len(masks) < g.n:
+        parent, label = _mask_tree(masks)
+        i = max(i for i, m in enumerate(label) if m & (m - 1))
+        v = label[i] & -label[i]
+        lifted = _reach(g, v, _children(masks, parent, i))[v]
+        masks = tuple(sorted(masks + (lifted,), key=rank.__getitem__))
+    return NestedSet(g, masks)

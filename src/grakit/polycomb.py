@@ -10,7 +10,7 @@ the polytope.  All arithmetic is exact.
 from __future__ import annotations
 
 from .graphs import Graph, NotConnectedError, component_masks, is_connected
-from .tubings import DEFAULT_CAP, _check_host, _iter_nested_masks, _mask_tree, _tube_masks
+from .tubings import DEFAULT_CAP, _check_host, _iter_nested_masks, _mask_tree, _tube_table
 
 Polynomial = list[int]  # coefficient list, index = degree, trailing zeros trimmed
 
@@ -43,7 +43,7 @@ def f_vector(g: Graph, cap: int = DEFAULT_CAP) -> list[int]:
     # coefficients never carry into each other: + and * stay exact.
     w = g.n * g.n
     poly: dict[int, int] = {}  # tube mask -> P, smaller tubes first
-    for mask in sorted(_tube_masks(g), key=int.bit_count):
+    for mask in _tube_table(g)[0]:
         p = 0
         label = mask
         while label:

@@ -3,15 +3,22 @@
 A tube is a subset of vertices inducing a connected subgraph.  A nested set
 is a family of tubes in which any two members are comparable by inclusion or
 disjoint with a disconnected union; augmented nested sets also contain the
-full vertex set.  Tubes are encoded as sorted vertex tuples and nested sets
-as tuples of tubes sorted by (size, lexicographic), which makes equality
-structural.
+full vertex set.
 
-Internally tubes are bitmasks.  One per-host table (:func:`_compat_table`)
-gives each tube its labels, canonical rank and compatible tubes; the one
-backtracker (:func:`_iter_nested_masks`) walks it to enumerate nested sets,
-one rule (:func:`_mask_tree`) derives their trees, and ◁ exists only as the
-sort key :func:`lex_key`.  Face counts need no enumeration (see
+A vertex subset is a bitmask in which bit i stands for the i-th smallest
+label, so bit order is label order.  A :class:`NestedSet` holds the masks of
+its tubes in the canonical (size, lexicographic) order, which makes equality
+structural.  Labels come in only through :func:`nested_set`,
+:func:`nested_set_from_json` and the label tube arguments of the public
+per-node functions; they go out through ``NestedSet.tubes``, ``to_json`` and
+:func:`nested_tree`.
+
+One per-host table (:func:`_tube_table`) gives every tube mask its labels,
+canonical rank and ≺ key; :func:`_compat_table` adds the compatible tubes,
+which the one backtracker (:func:`_iter_nested_masks`) walks to enumerate
+nested sets, and one rule (:func:`_mask_tree`) derives their trees.  ≺ on
+subsets is ascending order of the bit-reversed mask, so ◁ (the sort key
+:func:`lex_key`) compares masks.  Face counts need no enumeration (see
 :func:`grakit.polycomb.f_vector`).
 """
 
@@ -19,8 +26,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     CapExceededError,
@@ -28,14 +36,12 @@ from .graphs import (
     GraphError,
     NotConnectedError,
     _adjacency,
-    _bit_index,
     _is_label,
+    _reconnect,
     connected_mask,
-    induced,
     is_connected,
     labels_of,
     mask_of,
-    reconnected_complement,
 )
 
 Tube = tuple[int, ...]
@@ -43,29 +49,28 @@ Tube = tuple[int, ...]
 DEFAULT_CAP = 9
 
 
-def _tube_key(t: Tube) -> tuple:
-    return (len(t), t)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NestedSet:
-    """A compatible family of tubes of a fixed host graph.
+    """A compatible family of tubes of a fixed host graph, held as the tube
+    masks in the canonical (size, lexicographic) order of the host's tube
+    table; ``tubes`` reads the same family as label tuples.
 
     The constructor trusts its input; use :func:`nested_set` to validate.
     """
 
     host: Graph
-    tubes: tuple[Tube, ...]
+    masks: tuple[int, ...]
+
+    @property
+    def tubes(self) -> tuple[Tube, ...]:
+        return tuple(map(_tube_table(self.host)[0].__getitem__, self.masks))
 
     @property
     def augmented(self) -> bool:
-        return self.host.vertices in self.tubes
+        return (1 << self.host.n) - 1 in self.masks
 
     def __len__(self) -> int:
-        return len(self.tubes)
-
-    def __contains__(self, t: Tube) -> bool:
-        return tuple(t) in self.tubes
+        return len(self.masks)
 
     def to_json(self) -> dict:
         return {"tubes": [list(t) for t in self.tubes]}
@@ -76,14 +81,15 @@ class NestedSet:
 
 def nested_set(host: Graph, tubes: Iterable[Iterable[int]]) -> NestedSet:
     """Validated, canonically sorted nested set."""
-    ts = sorted({tuple(sorted(t)) for t in tubes}, key=_tube_key)
+    ts = sorted({tuple(sorted(t)) for t in tubes}, key=lambda t: (len(t), t))
     bad = [t for t in ts if not _is_tube(host, t)]
     if bad:
         raise NotConnectedError(f"{bad[0]} is not a tube of the host")
-    for a, b in itertools.combinations(ts, 2):
-        if not _compatible(host, mask_of(host, a), mask_of(host, b)):
+    masks = tuple(mask_of(host, t) for t in ts)
+    for (a, ma), (b, mb) in itertools.combinations(zip(ts, masks), 2):
+        if not _compatible(host, ma, mb):
             raise ValueError(f"tubes {a} and {b} are not nested")
-    return NestedSet(host, tuple(ts))
+    return NestedSet(host, masks)
 
 
 def nested_set_from_json(host: Graph, data: dict) -> NestedSet:
@@ -100,16 +106,18 @@ def nested_set_from_json(host: Graph, data: dict) -> NestedSet:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _tube_masks(g: Graph) -> frozenset:
-    """Masks of all tubes, the full set included."""
-    return frozenset(
-        m for m in range(1, 1 << g.n) if connected_mask(g, m)
-    )
+def _tube_table(g: Graph) -> tuple[dict[int, Tube], dict[int, int], dict[int, int]]:
+    """The per-host tube table: every tube mask, the full set included,
+    mapped to its label tuple (in the canonical (size, lexicographic)
+    order), to its rank in that order, and to its ≺ key."""
+    found = {m: labels_of(g, m) for m in range(1, 1 << g.n) if connected_mask(g, m)}
+    labels = dict(sorted(found.items(), key=lambda mt: (len(mt[1]), mt[1])))
+    return labels, {m: r for r, m in enumerate(labels)}, {m: prec_key(m, g.n) for m in labels}
 
 
 def _is_tube(g: Graph, t: Iterable[int]) -> bool:
     t = tuple(t)  # a vertex listed twice makes no tube
-    return bool(t) and len(set(t)) == len(t) and mask_of(g, t) in _tube_masks(g)
+    return bool(t) and len(set(t)) == len(t) and mask_of(g, t) in _tube_table(g)[0]
 
 
 def _compatible(g: Graph, a: int, b: int) -> bool:
@@ -118,14 +126,14 @@ def _compatible(g: Graph, a: int, b: int) -> bool:
         return True
     if i:
         return False
-    return (a | b) not in _tube_masks(g)
+    return (a | b) not in _tube_table(g)[0]
 
 
 def tubes(g: Graph, cap: int = DEFAULT_CAP) -> list[Tube]:
     """All tubes of a connected host, the full vertex set included,
     sorted by (size, lexicographic members)."""
     _check_host(g, cap)
-    return sorted((labels_of(g, m) for m in _tube_masks(g)), key=_tube_key)
+    return list(_tube_table(g)[0].values())
 
 
 def proper_tubes(g: Graph, cap: int = DEFAULT_CAP) -> list[Tube]:
@@ -155,52 +163,56 @@ def _check_host(g: Graph, cap: int) -> None:
         raise CapExceededError(f"{g.n} vertices exceeds cap {cap}")
 
 
+def _proper_masks(g: Graph) -> list[int]:
+    """Proper tube masks in ≺ order."""
+    rev = _tube_table(g)[2]
+    return sorted((m for m in rev if m != (1 << g.n) - 1), key=rev.__getitem__)
+
+
 @lru_cache(maxsize=None)
-def _compat_table(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], dict, dict]:
-    """The per-host tube table: proper tube masks in ≺ order, per-tube
-    bitsets of the compatible tubes with larger index, and for every tube
-    mask (the full set included) its label tuple and its rank in the
-    canonical (size, lexicographic) order of tubes."""
-    labels = {m: labels_of(g, m) for m in _tube_masks(g)}
-    order = sorted(
-        (m for m in labels if m != (1 << g.n) - 1),
-        key=lambda m: prec_key(labels[m]),
-    )
+def _compat_table(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The per-host compatibility table: proper tube masks in ≺ order and
+    per-tube bitsets of the compatible tubes with larger index."""
+    order = _proper_masks(g)
     comp = [0] * len(order)
     for j in range(len(order)):
         for i in range(j + 1, len(order)):
             if _compatible(g, order[i], order[j]):
                 comp[j] |= 1 << i
-    rank = {m: r for r, m in enumerate(sorted(labels, key=lambda m: _tube_key(labels[m])))}
-    return tuple(order), tuple(comp), labels, rank
+    return tuple(order), tuple(comp)
 
 
 def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Backtracking enumeration over compatible families of proper tube
+    """Depth-first enumeration over compatible families of proper tube
     masks, visiting tubes in ≺ order; the empty family comes first.
 
     With ``size``, only families of exactly that many tubes are yielded, and
     a branch is cut once its remaining candidates cannot reach the size.
     """
-    order, comp, _, _ = _compat_table(g)
+    order, comp = _compat_table(g)
+    need = size or 0
     chosen: list[int] = []
-
-    def backtrack(allowed: int) -> Iterator[tuple[int, ...]]:
+    stack = [(1 << len(order)) - 1]  # candidates left at each depth
+    if not size:
+        yield ()
+    while stack:
+        a = stack[-1]
+        if not a or len(chosen) + a.bit_count() < need:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        low = a & -a
+        stack[-1] = a ^ low
+        j = low.bit_length() - 1
+        chosen.append(order[j])
         if size is None:
             yield tuple(chosen)
         elif len(chosen) == size:
             yield tuple(chosen)
-            return
-        a = allowed
-        while a and (size is None or len(chosen) + a.bit_count() >= size):
-            low = a & -a
-            a ^= low
-            j = low.bit_length() - 1
-            chosen.append(order[j])
-            yield from backtrack(a & comp[j])
             chosen.pop()
-
-    yield from backtrack((1 << len(order)) - 1)
+            continue
+        stack.append((a ^ low) & comp[j])
 
 
 def enumerate_nested(
@@ -216,23 +228,22 @@ def enumerate_nested(
     only when ``include_empty`` is set.
     """
     _check_host(g, cap)
-    _, _, labels, rank = _compat_table(g)
-    full = g.vertices
+    rank = _tube_table(g)[1]
+    full = ((1 << g.n) - 1,)
     for masks in _iter_nested_masks(g):
-        ts = tuple(map(labels.__getitem__, sorted(masks, key=rank.__getitem__)))
+        ms = tuple(sorted(masks, key=rank.__getitem__))
         if augmented:
-            yield NestedSet(g, ts + (full,))
-        elif ts or include_empty:
-            yield NestedSet(g, ts)
+            yield NestedSet(g, ms + full)
+        elif ms or include_empty:
+            yield NestedSet(g, ms)
 
 
 def maximal_nested(g: Graph, cap: int = DEFAULT_CAP) -> list[NestedSet]:
     """Augmented nested sets of the maximal cardinality |V|."""
     _check_host(g, cap)
-    _, _, labels, rank = _compat_table(g)
-    full = g.vertices
-    return [NestedSet(g, tuple(map(labels.__getitem__, sorted(masks, key=rank.__getitem__)))
-                      + (full,))
+    rank = _tube_table(g)[1]
+    full = ((1 << g.n) - 1,)
+    return [NestedSet(g, tuple(sorted(masks, key=rank.__getitem__)) + full)
             for masks in _iter_nested_masks(g, g.n - 1)]
 
 
@@ -268,7 +279,7 @@ class NestedTree:
         return "\n".join(lines)
 
 
-def _mask_tree(masks: list[int]) -> tuple[list, list[int]]:
+def _mask_tree(masks: Sequence[int]) -> tuple[list, list[int]]:
     """Parent index (None for the root) and label of each tube mask of an
     augmented nested set listed by ascending size: a node's parent is its
     smallest strict superset, its label is its mask minus its children."""
@@ -283,19 +294,31 @@ def _mask_tree(masks: list[int]) -> tuple[list, list[int]]:
     return parent, label
 
 
+def _children(masks: tuple[int, ...], parent: list, i: int) -> list[int]:
+    return [c for c, p in zip(masks, parent) if p == i]
+
+
+def _node(ns: NestedSet, t: Iterable[int]) -> tuple[int, list, list[int]]:
+    """Position of the member tube t of an augmented nested set, and its mask tree."""
+    if not ns.augmented:
+        raise ValueError("nested set must contain the full vertex set")
+    t = tuple(t)
+    if t not in ns.tubes:
+        raise ValueError(f"{t} is not a member of the nested set")
+    parent, label = _mask_tree(ns.masks)
+    return ns.tubes.index(t), parent, label
+
+
 @lru_cache(maxsize=100000)
 def nested_tree(ns: NestedSet) -> NestedTree:
-    """Tree of an augmented nested set under the cover relation of inclusion.
-
-    Relies on the canonical (size, lexicographic) order of ``ns.tubes``,
-    which also leaves each node's children in that order.
+    """Tree of an augmented nested set under the cover relation of inclusion,
+    keyed by label tuples; each node's children come out in canonical order.
     """
     if not ns.augmented:
         raise ValueError("nested set must contain the full vertex set")
     g = ns.host
-    idx = _bit_index(g)
     tubes = ns.tubes
-    up, label = _mask_tree([mask_of(g, t) for t in tubes])
+    up, label = _mask_tree(ns.masks)
     parent: dict = {}
     children: dict = {t: [] for t in tubes}
     labels: dict = {}
@@ -303,7 +326,7 @@ def nested_tree(ns: NestedSet) -> NestedTree:
         parent[t] = None if j is None else tubes[j]
         if j is not None:
             children[tubes[j]].append(t)
-        labels[t] = tuple(v for v in t if m >> idx[v] & 1)
+        labels[t] = labels_of(g, m)
     return NestedTree(
         nested=ns,
         root=g.vertices,
@@ -317,10 +340,8 @@ def node_graph(ns: NestedSet, t: Tube) -> Graph:
     """The graph a node of the nested tree carries: the induced subgraph on
     the tube with the union of its children reconnected away; its vertex set
     is the node label."""
-    tree = nested_tree(ns)
-    t = tuple(t)
-    covered = set(t) - set(tree.labels[t])
-    return reconnected_complement(induced(ns.host, t), covered)
+    i, _, label = _node(ns, t)
+    return _reconnect(ns.host, label[i], ns.masks[i] & ~label[i])
 
 
 def descents(ns: NestedSet) -> set[tuple[int, int]]:
@@ -331,24 +352,25 @@ def descents(ns: NestedSet) -> set[tuple[int, int]]:
     """
     if len(ns) != ns.host.n:
         raise ValueError("descents require a maximal nested set")
-    tree = nested_tree(ns)
-    lab = tree.labels
-    return {(lab[t][0], lab[p][0]) for t, p in tree.parent.items()
-            if p is not None and lab[t] < lab[p]}
+    parent, label = _mask_tree(ns.masks)
+    vs = ns.host.vertices
+    return {(vs[label[i].bit_length() - 1], vs[label[p].bit_length() - 1])
+            for i, p in enumerate(parent) if p is not None and label[i] < label[p]}
 
 
 # ---------------------------------------------------------------------------
 # The subset order ≺ and the nested-set order ◁.
 # ---------------------------------------------------------------------------
 
-def prec_key(subset: Iterable[int]) -> tuple[int, ...]:
-    """Sort key realizing ≺: negate the ascending member sequence.
+def prec_key(mask: int, n: int) -> int:
+    """Sort key realizing ≺ on the subset masks of an n-vertex host: the
+    mask with its bit order reversed.
 
-    Comparing keys lexicographically puts a set before another when its
-    sequence is an initial segment of the other's, or is lexicographically
-    greater at the first difference.
+    ≺ puts a set first when its ascending sequence is an initial segment of
+    the other's, or is greater at the first difference; either way the
+    smallest vertex in only one of the two sets lies in the later one.
     """
-    return tuple(-v for v in sorted(subset))
+    return int(f"{mask:0{n}b}"[::-1], 2)
 
 
 def lex_key(ns: NestedSet) -> tuple:
@@ -357,19 +379,23 @@ def lex_key(ns: NestedSet) -> tuple:
 
     ◁ compares unions under ≺; on a tie it deletes the ≺-maximal tube from
     each side and recurses.  The key is the sequence of union keys along
-    that recursion.
+    that recursion: bit reversal commutes with union, so these are the
+    unions of the reversed masks of the k ≺-smallest tubes, k descending.
     """
-    a = list(ns.tubes)
-    keys = []
-    while a:
-        keys.append(prec_key(set().union(*map(set, a))))
-        a.remove(max(a, key=prec_key))
-    return tuple(keys)
+    rev = _tube_table(ns.host)[2]
+    return tuple(reversed(list(itertools.accumulate(sorted(map(rev.__getitem__, ns.masks)), or_))))
 
 
 # ---------------------------------------------------------------------------
 # Quadratic divisors and tube insertion.
 # ---------------------------------------------------------------------------
+
+def _divisor(g: Graph, masks: tuple[int, ...], parent: list, label: list[int],
+             i: int) -> tuple[Graph, Tube]:
+    """The quadratic divisor at the non-root node i of a mask tree."""
+    keep = label[parent[i]] | label[i]
+    return _reconnect(g, keep, masks[parent[i]] & ~keep), labels_of(g, label[i])
+
 
 def quadratic_divisor(ns: NestedSet, t: Tube) -> tuple[Graph, Tube]:
     """Two-node subquotient of a nested set at a non-root tube.
@@ -378,50 +404,51 @@ def quadratic_divisor(ns: NestedSet, t: Tube) -> tuple[Graph, Tube]:
     from the induced subgraph on p by reconnecting everything else away,
     together with the tube label(t) of that graph.
     """
-    t = tuple(t)
-    if t not in ns.tubes:
-        raise ValueError(f"{t} is not a member of the nested set")
-    if t == ns.host.vertices:
+    i, parent, label = _node(ns, t)
+    if parent[i] is None:
         raise ValueError("the root has no quadratic divisor")
-    tree = nested_tree(ns)
-    p = tree.parent[t]
-    keep = set(tree.labels[p]) | set(tree.labels[t])
-    delta = reconnected_complement(induced(ns.host, p), set(p) - keep)
-    return delta, tree.labels[t]
+    return _divisor(ns.host, ns.masks, parent, label, i)
 
 
-def lift_node_tube(ns: NestedSet, t: Tube, node_tube: Iterable[int]) -> Tube:
-    """Tube of the host corresponding to a tube of the node graph at t.
+def _reach(g: Graph, x: int, children: list[int]) -> dict[int, int]:
+    """Each vertex bit of x together with the children adjacent to it.
 
-    The lift is the smallest host tube meeting label(t) exactly in
-    ``node_tube`` and compatible with the children of t: it absorbs every
-    child adjacent to ``node_tube`` (a child left outside a tube must not
-    touch it).  Absorption by adjacency, not by connectivity of the union,
-    matters when the node tube has several pieces bridged by distinct
-    children.  One pass suffices: children are disjoint compatible tubes,
-    hence pairwise non-adjacent, so absorbing one brings no other in reach.
+    The lift of a node tube X into the host, the smallest host tube meeting
+    the node label exactly in X and compatible with the node's children, is
+    the union of these over X: a child left outside a tube must not touch
+    it.  Children are disjoint compatible tubes, hence pairwise
+    non-adjacent, so absorbing one brings no other in reach.
     """
-    g = ns.host
     adj = _adjacency(g)
-    x = mask_of(g, node_tube)
-    nbrs = 0
-    m = x
-    while m:
-        low = m & -m
-        m ^= low
-        nbrs |= adj[low.bit_length() - 1]
-    for c in nested_tree(ns).children[tuple(t)]:
-        cm = mask_of(g, c)
-        if nbrs & cm:
-            x |= cm
-    return labels_of(g, x)
+    out = {}
+    while x:
+        low = x & -x
+        x ^= low
+        a = adj[low.bit_length() - 1]
+        out[low] = low | sum(c for c in children if a & c)
+    return out
+
+
+def _insertions(g: Graph, label: int, children: list[int]) -> list[tuple[int, int]]:
+    """(X, lift of X) for every proper tube X of the node graph on ``label``,
+    in canonical order.  X is a tube of the node graph exactly when its lift
+    is a tube of the host, since the node graph joins two label vertices
+    when both touch one child."""
+    reach = _reach(g, label, children)
+    tset = _tube_table(g)[0]
+    out = []
+    for r in range(1, len(reach)):
+        for xs in itertools.combinations(reach, r):
+            lift = reduce(or_, map(reach.__getitem__, xs))
+            if lift in tset:
+                out.append((sum(xs), lift))
+    return out
 
 
 def node_insertions(ns: NestedSet, t: Tube) -> list[tuple[Tube, Tube]]:
     """All one-tube refinements available at a node: pairs of
     (proper tube of the node graph, its lift into the host)."""
-    delta = node_graph(ns, tuple(t))
-    out = []
-    for s in proper_tubes(delta, cap=max(DEFAULT_CAP, delta.n)):
-        out.append((s, lift_node_tube(ns, t, s)))
-    return out
+    i, parent, label = _node(ns, t)
+    g = ns.host
+    return [(labels_of(g, x), labels_of(g, lift))
+            for x, lift in _insertions(g, label[i], _children(ns.masks, parent, i))]

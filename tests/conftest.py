@@ -79,6 +79,13 @@ def random_connected_graphs(n: int, count: int, seed: int, p: float = 0.5) -> li
     return out
 
 
+def relabelled(g: Graph, rng: random.Random, top: int = 29) -> Graph:
+    """g with its vertices renamed to a random subset of 1..top, so bit
+    order and the original label order disagree."""
+    alpha = dict(zip(g.vertices, rng.sample(range(1, top + 1), g.n)))
+    return make_graph(alpha.values(), [(alpha[a], alpha[b]) for a, b in g.edges])
+
+
 @pytest.fixture(scope="session")
 def classes_upto_4():
     return connected_classes_upto(4)

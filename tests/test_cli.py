@@ -218,3 +218,20 @@ def test_malformed_json_is_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("grakit: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["nested"],
+    ["nested", "--augmented"],
+    ["maximal"],
+    ["grav-dims"],
+    ["check-gravity"],
+    ["koszul-check"],
+    ["axioms"],
+    ["reduce", "--tau", '{"tubes":[[1],[1,2],[1,2,3]]}'],
+    ["induce", "--omega", '{"tubes":[[1,2,3]]}'],
+])
+def test_csv_without_csv_form_is_one_line_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--graph", "path:3", "--format", "csv")
+    assert code == 1 and out == ""
+    assert err == "grakit: error: this command has no csv form\n"

@@ -1,22 +1,28 @@
 """Golden CLI output: the SHA-256 of the concatenated stdout of a fixed list
 of commands must not change.
 
-The digest was recorded from the same command list before the graph and
-nested-set routines were collapsed into one flood, one tree rule and one
+The first digest was recorded from the same command list before the graph
+and nested-set routines were collapsed into one flood, one tree rule and one
 tube lift, so it pins byte-identical reports across refactors of those
-routines.  If a deliberate change of output format moves it, record the new
-digest together with that change.
+routines.  The second runs the same command list on a fixed, seeded
+relabelling of every host into labels from 1..29; it was recorded before
+nested sets were stored as tube bitmasks, whose order rests on bit order
+matching label order.  If a deliberate change of output format moves a
+digest, record the new one together with that change.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import random
 
+from grakit import parse_graph
 from grakit.cli import main
-from conftest import connected_classes_upto
+from conftest import connected_classes_upto, relabelled
 
 GOLDEN_SHA256 = "d90d5bfabfe74ef33a9e26769a7812a2d1308eb33c74bdfbf353dee5c975c4b9"
+GOLDEN_RELABELLED_SHA256 = "0d2be9c38d39d946b5342cff17e13fafbc996b2968b45a3dfe76f650755f61e6"
 
 FAMILIES_5 = ["path:5", "cycle:5", "star:5", "complete:5"]
 ROUND_TRIP_HOSTS = ["path:4", "complete:4"]
@@ -34,8 +40,7 @@ def _sets(out: str) -> list:
     return json.loads(out)["nested_sets"]
 
 
-def test_cli_output_digest():
-    specs = [json.dumps(g.to_json()) for g in connected_classes_upto(4)] + FAMILIES_5
+def _digest(specs: list[str], round_trip_hosts: list[str]) -> str:
     chunks = []
     for spec in specs:
         for argv in (
@@ -48,12 +53,28 @@ def test_cli_output_digest():
             ["koszul-check"],
         ):
             chunks.append(_run(argv + ["--graph", spec]))
-    for spec in ROUND_TRIP_HOSTS:
+    for spec in round_trip_hosts:
         for tubes in _sets(_run(["maximal", "--graph", spec])):
             tau = json.dumps({"tubes": tubes})
             chunks.append(_run(["reduce", "--graph", spec, "--tau", tau]))
         for tubes in _sets(_run(["nested", "--augmented", "--graph", spec])):
             omega = json.dumps({"tubes": tubes})
             chunks.append(_run(["induce", "--graph", spec, "--omega", omega]))
-    digest = hashlib.sha256("".join(chunks).encode()).hexdigest()
-    assert digest == GOLDEN_SHA256
+    return hashlib.sha256("".join(chunks).encode()).hexdigest()
+
+
+def test_cli_output_digest():
+    specs = [json.dumps(g.to_json()) for g in connected_classes_upto(4)] + FAMILIES_5
+    assert _digest(specs, ROUND_TRIP_HOSTS) == GOLDEN_SHA256
+
+
+def test_cli_output_digest_relabelled():
+    rng = random.Random(20261018)
+
+    def relabel(g) -> str:
+        return json.dumps(relabelled(g, rng).to_json())
+
+    specs = [relabel(g) for g in connected_classes_upto(4)]
+    specs += [relabel(parse_graph(s)) for s in FAMILIES_5]
+    hosts = [relabel(parse_graph(s)) for s in ROUND_TRIP_HOSTS]
+    assert _digest(specs, hosts) == GOLDEN_RELABELLED_SHA256

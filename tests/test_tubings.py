@@ -29,6 +29,7 @@ from conftest import (
     nested_lex_less,
     oracle_tubes,
     random_connected_graphs,
+    relabelled,
     subset_precedes,
 )
 
@@ -224,6 +225,11 @@ def test_subset_precedes_examples():
     assert not subset_precedes([1, 2], [1, 2])
 
 
+def _prec(subset) -> int:
+    # the library's ≺ key on the mask with bit v - 1 for label v in 1..9
+    return prec_key(sum(1 << (v - 1) for v in subset), 9)
+
+
 def test_subset_precedes_is_total_order():
     ground = [
         frozenset(c)
@@ -232,7 +238,7 @@ def test_subset_precedes_is_total_order():
     ]
     for a, b in itertools.combinations(ground, 2):
         assert subset_precedes(a, b) != subset_precedes(b, a)
-        assert subset_precedes(a, b) == (prec_key(a) < prec_key(b))
+        assert subset_precedes(a, b) == (_prec(a) < _prec(b))
     for a, b, c in itertools.permutations(ground, 3):
         if subset_precedes(a, b) and subset_precedes(b, c):
             assert subset_precedes(a, c)
@@ -245,7 +251,7 @@ def test_subset_precedes_is_total_order():
 def test_subset_precedes_extends_inclusion(a, b):
     if a < b:
         assert subset_precedes(a, b)
-    assert subset_precedes(a, b) == (prec_key(a) < prec_key(b))
+    assert subset_precedes(a, b) == (_prec(a) < _prec(b))
 
 
 def test_nested_lex_less_examples():
@@ -260,7 +266,13 @@ def test_nested_lex_less_examples():
 
 
 def test_nested_lex_total_on_equal_sizes(classes_upto_5):
-    for g in classes_upto_5:
+    # lex_key compares bit-reversed masks, which needs bit order to be label
+    # order: relabelled hosts check that
+    rng = random.Random(4729)
+    relabelled_hosts = [relabelled(g, rng) for g in connected_classes_upto(4)]
+    relabelled_hosts += [relabelled(family(k, 5), rng)
+                         for k in ("path", "cycle", "star", "complete")]
+    for g in classes_upto_5 + relabelled_hosts:
         by_size = {}
         for ns in enumerate_nested(g, augmented=True):
             by_size.setdefault(len(ns), []).append(ns)
@@ -340,8 +352,16 @@ def test_quadratic_divisor_examples():
 
 
 def test_quadratic_divisor_identities(classes_upto_5):
-    for g in classes_upto_5:
-        for ns in maximal_nested(g):
+    # every augmented set of the relabelled classes, the maximal ones of the
+    # classes themselves
+    rng = random.Random(5039)
+    cases = [(g, maximal_nested(g)) for g in classes_upto_5]
+    cases += [(g, list(enumerate_nested(g, augmented=True)))
+              for g in (relabelled(g, rng) for g in classes_upto_5)]
+    for g, sets in cases:
+        for ns in sets:
+            again = nested_set(g, ns.tubes)
+            assert again == ns and hash(again) == hash(ns)
             tree = nested_tree(ns)
             for t in ns.tubes:
                 if t == g.vertices:
