@@ -29,7 +29,7 @@ from .engine import (
     hypercom_relations,
     relation_pairing,
 )
-from .exactla import ChainComplex, QMatrix, homology_dims, kernel_basis, rank
+from .exactla import ChainComplex, QMatrix, homology_dims, rank
 from .graphs import (
     CapExceededError,
     DanglingEndpointError,

@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import engine, groebner, polycomb, tubings
-from .graphs import Graph, GraphError, parse_graph
+from .graphs import CapExceededError, Graph, GraphError, parse_graph
 from .tubings import DEFAULT_CAP, NestedSet, nested_set_from_json, nested_tree
 
 EXIT_OK = 0
@@ -49,7 +49,10 @@ def _load_graph(spec: str) -> Graph:
     return parse_graph(text)
 
 
-def _load_nested(g: Graph, spec: str) -> NestedSet:
+def _load_nested(g: Graph, spec: str, cap: int) -> NestedSet:
+    # validating a nested set builds the host's tube table over all 2^n subsets
+    if g.n > cap:
+        raise CapExceededError(f"{g.n} vertices exceeds cap {cap}")
     text = spec.strip()
     if os.path.exists(text) and not text.startswith("{"):
         with open(text) as fh:
@@ -109,7 +112,7 @@ def _cmd_maximal(args):
 
 def _cmd_tree(args):
     g = _load_graph(args.graph)
-    ns = _load_nested(g, args.tau)
+    ns = _load_nested(g, args.tau, args.cap)
     dot = nested_tree(ns).to_dot()
     print(dot)
     return None, EXIT_OK, None
@@ -164,7 +167,8 @@ def _cmd_check_gravity(args):
 
 def _cmd_relations(args):
     g = _load_graph(args.graph)
-    rel = engine.gravity_relations(g) if args.system == "grav" else engine.hypercom_relations(g)
+    build = engine.gravity_relations if args.system == "grav" else engine.hypercom_relations
+    rel = build(g, cap=args.cap)
     report = {
         "graph": args.graph,
         "which": args.system,
@@ -198,7 +202,7 @@ def _cmd_normal_count(args):
 
 def _cmd_reduce(args):
     g = _load_graph(args.graph)
-    ns = _load_nested(g, args.tau)
+    ns = _load_nested(g, args.tau, args.cap)
     red = groebner.reduction(ns)
     report = {"graph": args.graph, "tau": ns.tubes, "reduced": red.tubes}
     return report, EXIT_OK, None
@@ -206,7 +210,7 @@ def _cmd_reduce(args):
 
 def _cmd_induce(args):
     g = _load_graph(args.graph)
-    ns = _load_nested(g, args.omega)
+    ns = _load_nested(g, args.omega, args.cap)
     ind = groebner.induction(ns)
     report = {"graph": args.graph, "omega": ns.tubes, "induced": ind.tubes}
     return report, EXIT_OK, None

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import QMatrix, rank
+from .exactla import QMatrix, _rank_exact
 from .graphs import (
     Graph,
     NotConnectedError,
@@ -285,12 +285,17 @@ class GravityDims:
 
 
 def gravity_dims(g: Graph) -> GravityDims:
-    """Per-degree kernel dimension of the derivation; the total is 2^(n-1)."""
+    """Per-degree kernel dimension of the derivation; the total is 2^(n-1).
+
+    In each degree the images of the basis elements are the sparse columns
+    of the derivation, ranked exactly without building a matrix.
+    """
     _require_connected(g)
     by_degree = {}
     for k in range(g.n + 1):
-        m = gerst_derivation_matrix(g, k)
-        by_degree[k] = m.cols - rank(m)
+        dom = list(itertools.combinations(g.vertices, k))
+        cols = (derivation(gerst_basis_element(g, s)).terms for s in dom)
+        by_degree[k] = len(dom) - _rank_exact(cols)
     return GravityDims(by_degree, sum(by_degree.values()))
 
 
@@ -369,9 +374,9 @@ class RelationSet:
         return tuple(ns.tubes[0] for ns in self.basis)
 
     def span_dim(self) -> int:
-        if not self.vectors:
-            return 0
-        return rank(QMatrix.from_rows(self.vectors, cols=len(self.basis)))
+        """Dimension of the span: the exact rank of the vectors' nonzero
+        supports."""
+        return _rank_exact({i: x for i, x in enumerate(v) if x} for v in self.vectors)
 
 
 def free_weight2_basis(g: Graph, cap: int = DEFAULT_CAP) -> list[NestedSet]:
@@ -426,13 +431,16 @@ def hypercom_relations(g: Graph, cap: int = DEFAULT_CAP) -> RelationSet:
 
 def relation_pairing(r1: RelationSet, r2: RelationSet) -> list[list[Fraction]]:
     """Gram matrix of two relation sets under the standard pairing that makes
-    the weight-two monomials orthonormal."""
+    the weight-two monomials orthonormal, as dense rows of dot products taken
+    over the sparse supports."""
     if r1.host != r2.host or r1.basis != r2.basis:
         raise ValueError("relation sets live on different bases")
-    return [
-        [sum(a * b for a, b in zip(x, y)) for y in r2.vectors]
-        for x in r1.vectors
-    ]
+    supports = [{i: b for i, b in enumerate(y) if b} for y in r2.vectors]
+    gram = []
+    for x in r1.vectors:
+        xs = [(i, a) for i, a in enumerate(x) if a]
+        gram.append([sum((a * y[i] for i, a in xs if i in y), Fraction(0)) for y in supports])
+    return gram
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
-"""Exact rational linear algebra: rank, kernel, and homology of chain complexes.
+"""Exact linear algebra: sparse rank over GF(p) or ℚ, and the homology of
+chain complexes.
 
-No floating point anywhere.  Integer matrices go through fraction-free
-Bareiss elimination so intermediate entries stay bounded; general rational
-matrices use Gaussian elimination over Fraction.
+No floating point anywhere.  Every rank goes through one sparse
+column-elimination routine, ``_eliminate``, on columns given as
+{row: entry} dicts.  Exactly over ℚ (``_rank_exact``), integer entries stay
+integers and Fractions appear only after scaling a pivot not led by ±1.
+Modulo the prime p = 2^61 - 1 (``_rank_mod_p``), integer entries are
+reduced mod p.  The dense ``rank(QMatrix)`` ranks the matrix's columns by
+the exact route.
 
-Sparse integer matrices can also be ranked modulo the prime p = 2^61 - 1
-(``_rank_mod_p``).  That rank never exceeds the rank over the rationals: a
-minor that is nonzero mod p is a nonzero integer.  So for an integer chain
-complex, dim H_k over GF(p) >= dim H_k over Q in every degree, while both
+The mod-p rank never exceeds the rank over the rationals: a minor that is
+nonzero mod p is a nonzero integer.  So for an integer chain complex,
+dim H_k over GF(p) >= dim H_k over Q in every degree, while both
 homologies have the Euler characteristic of the complex.  Hence a complex
 whose mod-p homology is a point (one dimension in degree 0, none elsewhere)
 has the rational homology of a point.  Any other mod-p answer proves
-nothing, and the caller must fall back to the exact ``rank``.
+nothing, and the caller must fall back to the exact rank.
 """
 
 from __future__ import annotations
@@ -77,94 +81,46 @@ class QMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
     def to_json(self) -> list[list[str]]:
         """Entries as "p/q" strings, for debugging dumps."""
         return [[f"{x.numerator}/{x.denominator}" for x in row] for row in self.entries]
 
 
-def _rank_bareiss(m: QMatrix) -> int:
-    """Fraction-free elimination for integer matrices."""
-    a = [[int(x) for x in row] for row in m.entries]
-    rows, cols = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def _rref(m: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    a = [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
-
-
-def rank(m: QMatrix) -> int:
-    """Exact rank."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if m.is_integral():
-        return _rank_bareiss(m)
-    return len(_rref(m)[1])
-
-
 _P = (1 << 61) - 1
 
 
-def _rank_mod_p(columns: Iterable[dict]) -> int:
-    """Rank over GF(p), p = _P, of the integer matrix with the given sparse
-    columns ({row: entry}, rows any comparable keys), by column elimination.
+def _eliminate(columns: Iterable[dict], p: int) -> int:
+    """Rank of the matrix with the given sparse columns ({row: entry}, rows
+    any comparable keys), over GF(p) for a prime p, or over ℚ when p is 0.
 
     Each pivot column is stored scaled to 1 at its largest row; a new column
-    is reduced at its largest row until that row is no pivot's or the
-    column vanishes.  At most the exact rank (see the module docstring).
+    is reduced at its largest row until that row is no pivot's or the column
+    vanishes.  Over ℚ an integral entry is held as an int and a pivot led by
+    ±1 is its own inverse, so Fractions enter only when a pivot led by
+    another entry is scaled.
     """
-    p = _P
     pivots: dict = {}
     for col in columns:
-        v = {r: x % p for r, x in col.items() if x % p}
+        if p:
+            v = {r: x % p for r, x in col.items() if x % p}
+        else:
+            v = {r: x.numerator if x.denominator == 1 else x for r, x in col.items() if x}
         while v:
             r = max(v)
+            f = v[r]
             piv = pivots.get(r)
             if piv is None:
-                inv = pow(v[r], -1, p)
-                pivots[r] = {i: x * inv % p for i, x in v.items()}
+                if p:
+                    inv = pow(f, -1, p)
+                    pivots[r] = {i: x * inv % p for i, x in v.items()}
+                else:
+                    inv = f if f in (1, -1) else 1 / Fraction(f)
+                    pivots[r] = {i: x * inv for i, x in v.items()}
                 break
-            f = v[r]
             for i, x in piv.items():
-                y = (v.get(i, 0) - f * x) % p
+                y = v.get(i, 0) - f * x
+                if p:
+                    y %= p
                 if y:
                     v[i] = y
                 else:
@@ -172,22 +128,22 @@ def _rank_mod_p(columns: Iterable[dict]) -> int:
     return len(pivots)
 
 
-def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel; always has cols - rank members."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(m.cols)) for j in range(m.cols)]
-    a, pivots = _rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(tuple(v))
-    return basis
+def _rank_mod_p(columns: Iterable[dict]) -> int:
+    """Rank over GF(p), p = _P, of the integer matrix with the given sparse
+    columns; at most the exact rank (see the module docstring)."""
+    return _eliminate(columns, _P)
+
+
+def _rank_exact(columns: Iterable[dict]) -> int:
+    """Exact rank over ℚ of the matrix with the given sparse columns of
+    integer or Fraction entries."""
+    return _eliminate(columns, 0)
+
+
+def rank(m: QMatrix) -> int:
+    """Exact rank of a dense matrix, by the sparse route over its columns."""
+    return _rank_exact({i: row[j] for i, row in enumerate(m.entries) if row[j]}
+                       for j in range(m.cols))
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from .engine import (
     gravity_relations,
     hypercom_relations,
 )
-from .exactla import ChainComplex, QMatrix, _homology, _rank_mod_p, rank
+from .exactla import ChainComplex, QMatrix, _homology, _rank_exact, _rank_mod_p
 from .graphs import Graph
 from .tubings import (
     DEFAULT_CAP,
@@ -155,7 +155,7 @@ def koszul_check(g: Graph, cap: int = DEFAULT_CAP) -> dict:
     at most the rational rank, so mod-p homology bounds rational homology
     from above in every degree, and both have the Euler characteristic of
     the complex.  Any other mod-p answer takes exact rational ranks of the
-    boundary matrices instead.  Either way d∘d = 0 is checked exactly over
+    same sparse columns instead.  Either way d∘d = 0 is checked exactly over
     the integers when the complex is built.
     """
     cx = cobar_complex(g, cap)
@@ -164,7 +164,7 @@ def koszul_check(g: Graph, cap: int = DEFAULT_CAP) -> dict:
     hom = _homology(dims, {k: _rank_mod_p(cx.sparse_columns(k)) for k in degrees})
     if hom == {k: int(k == 0) for k in dims}:
         return hom
-    return _homology(dims, {k: rank(cx.differential_matrix(k)) for k in degrees})
+    return _homology(dims, {k: _rank_exact(cx.sparse_columns(k)) for k in degrees})
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,8 @@ def weight2_leading_tubes(g: Graph, system: str) -> frozenset:
     if g.n < 2:
         return frozenset()
     if system == "grav":
-        return _pivot_tubes(gravity_relations(g), "lex")
+        # the divisor is never larger than the host its caller admitted
+        return _pivot_tubes(gravity_relations(g, cap=g.n), "lex")
     if system == "hyper":
         tset = _tube_table(g)[0]
         full = (1 << g.n) - 1

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from grakit import Graph, GrComX, NestedSet, is_connected, make_graph
+from grakit import Graph, GrComX, NestedSet, QMatrix, is_connected, make_graph
 from grakit.engine import _inversion_sign
 
 
@@ -215,6 +216,76 @@ def nested_lex_less(t1: NestedSet, t2: NestedSet) -> bool:
         a.remove(prec_max(a))
         b.remove(prec_max(b))
     return False
+
+
+# ---------------------------------------------------------------------------
+# Dense linear-algebra oracles for the library's sparse rank.
+# ---------------------------------------------------------------------------
+
+def rank_bareiss(m: QMatrix) -> int:
+    """Rank of an integer matrix by fraction-free Bareiss elimination."""
+    a = [[int(x) for x in row] for row in m.entries]
+    rows, cols = m.rows, m.cols
+    r = 0
+    prev = 1
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def rref(m: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals; returns (rows, pivot
+    column indices)."""
+    a = [list(row) for row in m.entries]
+    rows, cols = m.rows, m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel, read off the reduced row echelon form;
+    always has cols - rank members."""
+    if m.cols == 0:
+        return []
+    if m.rows == 0:
+        return [tuple(Fraction(1 if i == j else 0) for i in range(m.cols)) for j in range(m.cols)]
+    a, pivots = rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][fc]
+        basis.append(tuple(v))
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -192,15 +192,24 @@ def test_criterion_08_gravity_relations(classes_upto_5):
 def test_criterion_09_koszul_pairing(classes_upto_6):
     with criterion(9, "gravity and hypercommutative relation spans are "
                       "orthogonal complements; hyper span has dimension n-1, "
-                      "for <= 6 vertices"):
+                      "for <= 6 vertices; complete:9-10 and path/cycle:12 "
+                      "together in < 10 s"):
         for g in classes_upto_6:
-            if g.n < 2:
-                continue
-            rg = gravity_relations(g)
-            rh = hypercom_relations(g)
-            assert all(x == 0 for row in relation_pairing(rg, rh) for x in row), g
-            assert rh.span_dim() == g.n - 1, g
-            assert rg.span_dim() + rh.span_dim() == len(rg.basis), g
+            if g.n >= 2:
+                _check_koszul_pairing(g)
+        t0 = time.monotonic()
+        for g in (family("complete", 9), family("complete", 10),
+                  family("path", 12), family("cycle", 12)):
+            _check_koszul_pairing(g)
+        assert time.monotonic() - t0 < 10.0
+
+
+def _check_koszul_pairing(g):
+    rg = gravity_relations(g, cap=g.n)
+    rh = hypercom_relations(g, cap=g.n)
+    assert all(x == 0 for row in relation_pairing(rg, rh) for x in row), g
+    assert rh.span_dim() == g.n - 1, g
+    assert rg.span_dim() + rh.span_dim() == len(rg.basis), g
 
 
 def test_criterion_10_groebner_counts(classes_upto_6):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import grakit
 from grakit.cli import main
 
 
@@ -235,3 +239,43 @@ def test_csv_without_csv_form_is_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--graph", "path:3", "--format", "csv")
     assert code == 1 and out == ""
     assert err == "grakit: error: this command has no csv form\n"
+
+
+def test_relations_take_the_cap(capsys):
+    code, out, err = run(capsys, "relations", "--system", "grav", "--graph", "complete:10",
+                         "--cap", "10")
+    assert code == 0, err
+    data = json.loads(out)
+    assert len(data["basis"]) == 2 ** 10 - 2
+    assert data["span_dim"] == len(data["basis"]) - 9
+
+
+PATH_18_TOP = '{"tubes": [[%s]]}' % ",".join(map(str, range(1, 19)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["induce", "--omega", PATH_18_TOP],
+    ["reduce", "--tau", PATH_18_TOP],
+    ["tree", "--tau", PATH_18_TOP],
+])
+def test_nested_set_commands_apply_the_cap(capsys, argv):
+    code, out, err = run(capsys, *argv, "--graph", "path:18")
+    assert code == 1 and out == ""
+    assert err == "grakit: error: 18 vertices exceeds cap 9\n"
+
+
+def test_nested_set_commands_pass_the_cap_through(capsys):
+    code, out, _ = run(capsys, "induce", "--graph", "path:18", "--omega", PATH_18_TOP,
+                       "--cap", "18")
+    assert code == 0
+    assert json.loads(out)["induced"][-1] == list(range(1, 19))
+
+
+def test_python_dash_m_runs_the_cli():
+    # run the package this suite imports, wherever it is installed
+    src = os.path.dirname(os.path.dirname(grakit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "grakit", "fvector", "--graph", "path:3"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["f"] == [5, 5, 1]

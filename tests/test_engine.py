@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,13 +22,12 @@ from grakit import (
     gravity_generator,
     gravity_relations,
     hypercom_relations,
-    kernel_basis,
     make_graph,
     rank,
     relation_pairing,
 )
 from grakit.engine import gerst_basis_element, gerst_unit
-from conftest import BROKEN_GERST
+from conftest import BROKEN_GERST, kernel_basis
 
 
 def test_free_weight2_basis_counts():
@@ -224,3 +224,11 @@ def test_kernel_matches_gravity_dims():
     dims = gravity_dims(g)
     for k, want in dims.by_degree.items():
         assert len(kernel_basis(gerst_derivation_matrix(g, k))) == want
+
+
+def test_gravity_dims_are_binomials():
+    for kind in ("path", "cycle", "star", "complete"):
+        for n in range(3 if kind == "cycle" else 1, 13):
+            dims = gravity_dims(family(kind, n))
+            assert dims.by_degree == {k: math.comb(n - 1, k - 1) if k else 0 for k in range(n + 1)}, (kind, n)
+            assert dims.total == 2 ** (n - 1)

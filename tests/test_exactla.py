@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from grakit import ChainComplex, QMatrix, homology_dims, kernel_basis, rank
-from grakit.exactla import _P, _rank_mod_p
+from grakit import ChainComplex, QMatrix, homology_dims, rank
+from grakit.exactla import _P, _rank_exact, _rank_mod_p
+from conftest import kernel_basis, rank_bareiss, rref
 
 
 def M(rows):
@@ -28,9 +30,9 @@ def test_rank_transpose_and_bounds():
         r = rank(m)
         assert r == rank(m.transpose())
         assert r <= min(rows, cols)
-    # rational entries take the Gaussian path
+    # non-unit pivots bring in Fractions
     m = M([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2, 1)]])
-    assert not m.is_integral()
+    assert any(x.denominator != 1 for row in m.entries for x in row)
     assert rank(m) == rank(m.transpose()) == 2
     singular = M([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]])
     assert rank(singular) == 1
@@ -170,3 +172,41 @@ def test_rank_mod_p_is_one_sided():
     assert rank(M([[_P]])) == 1
     assert _rank_mod_p([{0: _P + 2, 1: 1}, {0: 2, 1: 1}]) == 1
     assert rank(M([[_P + 2, 2], [1, 1]])) == 2
+
+
+def _integer_rows(m: QMatrix) -> list[list[int]]:
+    """m with each row scaled by the lcm of its denominators: an integer
+    matrix of the same rank."""
+    out = []
+    for row in m.entries:
+        d = math.lcm(*(x.denominator for x in row))
+        out.append([int(x * d) for x in row])
+    return out
+
+
+_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(_ENTRIES, min_size=cols, max_size=cols), min_size=1, max_size=5)))
+def test_sparse_rank_matches_dense_oracles(rows):
+    m = M(rows)
+    want = _rank_by_minors(m)
+    columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*m.entries)]
+    assert _rank_exact(columns) == rank(m) == len(rref(m)[1]) == want
+    # the same rank on integers: the Bareiss oracle and the mod-p route
+    z = M(_integer_rows(m))
+    assert rank_bareiss(z) == _rank_exact(_columns(z)) == _rank_mod_p(_columns(z)) == want
+
+
+def test_sparse_rank_keeps_integers_under_unit_pivots():
+    # integral Fractions enter as ints; a ±1 pivot scales by itself, so no
+    # Fraction is made, and a pivot led by 2 makes the rank exact still
+    cols = [{0: Fraction(1), 1: -1}, {1: 1, 2: Fraction(-1)}, {0: 1, 2: -1}]
+    assert _rank_exact(cols) == 2
+    assert _rank_exact([{0: 2, 1: 1}, {0: 1, 1: 2}]) == 2
+    assert _rank_exact([{0: 2, 1: 4}, {0: 1, 1: 2}]) == 1
+    assert _rank_exact([]) == _rank_exact([{}]) == 0

@@ -96,7 +96,7 @@ def test_koszul_check_point_takes_no_exact_rank(monkeypatch):
     import grakit.groebner as groebner
 
     mod_p = _count_calls(monkeypatch, groebner, "_rank_mod_p")
-    exact = _count_calls(monkeypatch, groebner, "rank")
+    exact = _count_calls(monkeypatch, groebner, "_rank_exact")
     assert koszul_check(family("path", 3)) == {0: 1, 1: 0, 2: 0}
     assert len(mod_p) == 2 and not exact
 
@@ -107,7 +107,7 @@ def test_koszul_check_falls_back_when_mod_p_under_reports(monkeypatch):
     import grakit.groebner as groebner
 
     _count_calls(monkeypatch, groebner, "_rank_mod_p", shift=-1)
-    exact = _count_calls(monkeypatch, groebner, "rank")
+    exact = _count_calls(monkeypatch, groebner, "_rank_exact")
     assert koszul_check(family("path", 3)) == {0: 1, 1: 0, 2: 0}
     assert len(exact) == 2
 
@@ -198,6 +198,14 @@ def test_grav_leading_tubes_closed_form(classes_upto_5):
         want = {t for t in proper_tubes(g) if len(t) >= 2}
         want.add((min(g.vertices),))
         assert weight2_leading_tubes(g, "grav") == want
+
+
+def test_grav_normality_on_ten_vertices():
+    # the divisor at {1} is the whole host, past the default cap of the
+    # relation builder; only the minimal vertex's singleton leads
+    g = family("path", 10)
+    assert not is_normal(nested_set(g, [[1], g.vertices]), "grav")
+    assert is_normal(nested_set(g, [[10], g.vertices]), "grav")
 
 
 def test_hyper_leading_sets_agree_in_size(classes_upto_5):
