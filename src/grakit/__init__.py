@@ -19,7 +19,6 @@ from .engine import (
     derivation,
     free_weight2_basis,
     gerst_circ,
-    gerst_decomposition_count,
     gerst_derivation_matrix,
     gerst_dimension,
     gerst_relabel,
@@ -53,11 +52,10 @@ from .groebner import (
     CobarComplex,
     boundary,
     cobar_complex,
-    hyper_leading_tubes_by_order,
     induction,
     is_normal,
     koszul_check,
-    leading_term,
+    normal_counts,
     normal_monomials,
     reduction,
     weight2_leading_tubes,

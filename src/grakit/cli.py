@@ -153,7 +153,7 @@ def _cmd_grav_dims(args):
 
 def _cmd_check_gravity(args):
     g = _load_graph(args.graph)
-    rep = engine.check_gravity_relations(g)
+    rep = engine.check_gravity_relations(g, cap=args.cap)
     report = {
         "graph": args.graph,
         "tube_relations": [
@@ -195,9 +195,9 @@ def _cmd_koszul_check(args):
 
 def _cmd_normal_count(args):
     g = _load_graph(args.graph)
-    monos = groebner.normal_monomials(g, args.system, cap=args.cap)
-    report = {"graph": args.graph, "system": args.system, "count": len(monos)}
-    return report, EXIT_OK, ([[args.system, len(monos)]], ["system", "count"])
+    count = sum(groebner.normal_counts(g, args.system, cap=args.cap))
+    report = {"graph": args.graph, "system": args.system, "count": count}
+    return report, EXIT_OK, ([[args.system, count]], ["system", "count"])
 
 
 def _cmd_reduce(args):
@@ -245,7 +245,7 @@ def _sweep_value(family: str, n: int, command: str, system: str, cap: int):
     if command == "grav-dim":
         return engine.gravity_dims(g).total
     if command == "normal-count":
-        return len(groebner.normal_monomials(g, system, cap=cap))
+        return sum(groebner.normal_counts(g, system, cap=cap))
     raise GraphError(f"unknown sweep command {command!r}; pick from {SWEEP_COMMANDS}")
 
 

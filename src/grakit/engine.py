@@ -235,14 +235,6 @@ def gerst_dimension(g: Graph) -> int:
     return len(GRGERST.basis(g))
 
 
-def gerst_decomposition_count(g: Graph) -> int:
-    """Number of summands in the underlying reconnected-product splitting,
-    one one-dimensional summand per vertex subset."""
-    return sum(
-        1 for r in range(g.n + 1) for _ in itertools.combinations(g.vertices, r)
-    )
-
-
 def derivation(x: GerstElement) -> GerstElement:
     """Degree-1 derivation sending m to b at each vertex; squares to zero.
 
@@ -326,7 +318,7 @@ class GravityRelationReport:
         return self.total_holds and all(ok for _, ok in self.tube_results)
 
 
-def check_gravity_relations(g: Graph) -> GravityRelationReport:
+def check_gravity_relations(g: Graph, cap: int = DEFAULT_CAP) -> GravityRelationReport:
     """Exact check of the gravity relations inside the square-zero model.
 
     For every tube T with 2 <= |T| < n, the sum over v in T of the one-vertex
@@ -337,7 +329,7 @@ def check_gravity_relations(g: Graph) -> GravityRelationReport:
     if g.n < 2:
         raise ValueError("relations need at least two vertices")
     results = []
-    for t in proper_tubes(g):
+    for t in proper_tubes(g, cap):
         if len(t) < 2:
             continue
         lhs = GerstElement(g, {})

@@ -1,13 +1,21 @@
 """Cellular chains of graph associahedra as a cobar-type complex, plus the
-monomial machinery: leading terms, normal monomials, and the reduction and
-induction maps between maximal nested sets and normal monomials.
+monomial machinery: normal monomials, their graded count, and the reduction
+and induction maps between maximal nested sets and normal monomials.
 
 Monomials of the free structure with one generator per connected graph are
 encoded by augmented nested sets, a generator sitting at each node of the
 nested tree; the homological degree of a monomial is n minus its cardinality.
-A quadratic divisor of a monomial is the two-node subquotient at a tree edge,
-so divisibility questions reduce to per-graph sets of leading weight-two
-monomials.
+A monomial is normal when none of its quadratic divisors, the two-node
+subquotients at its tree edges, is a leading weight-two monomial.  At the
+edge from a node labelled L to a child tube C labelled L′ (bit order is
+label order) that reads: for hyper, min(L ∩ N(C)) < max L′; for grav, L′ is
+a singleton above min L; for grcom, L′ is a singleton above max L, and the
+set is maximal.  This restates the divisor's leading tubes
+(:func:`weight2_leading_tubes`), its graph being L ∪ L′ with the rest of the
+parent tube reconnected away: the outside neighbours of L′ in it are
+L ∩ N(C), because sibling tubes never touch C.  Normal counts equal to the
+algebra's dimensions in every degree (:func:`normal_counts`) make the
+relations a Gröbner basis, which by the PBW criterion proves Koszulness.
 """
 
 from __future__ import annotations
@@ -16,21 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .engine import (
-    RelationSet,
-    free_weight2_basis,
-    gravity_relations,
-    hypercom_relations,
-)
 from .exactla import ChainComplex, QMatrix, _homology, _rank_exact, _rank_mod_p
-from .graphs import Graph
+from .graphs import Graph, component_masks
 from .tubings import (
     DEFAULT_CAP,
     NestedSet,
     _check_host,
     _children,
-    _divisor,
     _insertions,
+    _iter_nested_masks,
     _mask_tree,
     _reach,
     _tube_table,
@@ -168,113 +170,121 @@ def koszul_check(g: Graph, cap: int = DEFAULT_CAP) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Leading terms and normal monomials.
+# Normal monomials: the edge rule and the graded count.
 # ---------------------------------------------------------------------------
 
-def leading_term(
-    vector, basis: list[NestedSet], ordering: str = "lex"
-) -> NestedSet:
-    """Monomial of the largest nonzero coefficient under the nested-set
-    order ("lex"), or the smallest ("opposite")."""
-    if ordering not in ("lex", "opposite"):
-        raise ValueError(f"unknown ordering {ordering!r}")
-    support = [ns for ns, c in zip(basis, vector) if c]
-    if not support:
-        raise ValueError("zero vector has no leading term")
-    pick = max if ordering == "lex" else min
-    return pick(support, key=lex_key)
-
-
-def _pivot_tubes(relations: RelationSet, ordering: str) -> frozenset:
-    """Leading tubes of the span of a weight-two relation set: eliminate in
-    the chosen order and read off the pivot monomials."""
-    basis = list(relations.basis)
-    order = sorted(range(len(basis)), key=lambda i: lex_key(basis[i]),
-                   reverse=(ordering == "lex"))
-    pivots: dict = {}
-    for vec in relations.vectors:
-        row = list(vec)
-        while True:
-            lead = next((i for i in order if row[i]), None)
-            if lead is None:
-                break
-            if lead in pivots:
-                c = row[lead] / pivots[lead][lead]
-                row = [a - c * b for a, b in zip(row, pivots[lead])]
-            else:
-                pivots[lead] = row
-                break
-    return frozenset(basis[i].tubes[0] for i in pivots)
-
-
-@lru_cache(maxsize=None)
-def weight2_leading_tubes(g: Graph, system: str) -> frozenset:
-    """Tubes T whose weight-two monomial {T, V} is a leading term of the
-    system's relation ideal on g.
-
-    grcom: all proper tubes except the order-minimal one (the relations
-    identify all weight-two monomials).
-    grav: pivots of the relation span under the nested-set order; these
-    come out as the non-singleton proper tubes plus the minimal-vertex
-    singleton.
-    hyper: the tubes all of whose outside neighbors exceed their maximum.
-    The reversed-order pivot computation yields a set of the same size whose
-    normal-monomial count agrees, but only this set is compatible with the
-    reduction map, so it is the one divisibility uses.
-    """
+def _check_system(system: str) -> None:
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-    if g.n < 2:
-        return frozenset()
-    if system == "grav":
-        # the divisor is never larger than the host its caller admitted
-        return _pivot_tubes(gravity_relations(g, cap=g.n), "lex")
+
+
+def _lead(system: str, child_label: int) -> int:
+    """The bit of a child label L′ the edge rule compares: max L′ for hyper,
+    else L′ itself if a singleton and 0, which clears no bar, if not."""
     if system == "hyper":
-        tset = _tube_table(g)[0]
-        full = (1 << g.n) - 1
-        # no outside neighbor below the tube's largest vertex
-        return frozenset(t for m, t in tset.items() if m != full and not any(
-            (m | 1 << i) in tset for i in range(m.bit_length()) if not m >> i & 1))
-    # grcom: identify every pair of weight-two monomials; the basis comes in
-    # ≺ order, so its first tube is the order-minimal one
-    return frozenset(ns.tubes[0] for ns in free_weight2_basis(g)[1:])
+        return 1 << child_label.bit_length() - 1
+    return 0 if child_label & (child_label - 1) else child_label
 
 
-def hyper_leading_tubes_by_order(g: Graph) -> frozenset:
-    """Pivots of the hypercommutative relation span under the reversed
-    nested-set order; kept alongside the reduction-compatible set so the two
-    can be compared."""
-    if g.n < 2:
-        return frozenset()
-    return _pivot_tubes(hypercom_relations(g), "opposite")
+def _bar(system: str, label: int, border: int) -> int:
+    """The bit a child's lead must exceed under a node labelled L, the child
+    tube having neighbourhood ``border``: min(L ∩ N(C)) for hyper, min L for
+    grav, max L for grcom."""
+    if system == "grcom":
+        return 1 << label.bit_length() - 1
+    if system == "hyper":
+        label &= border
+    return label & -label
+
+
+@lru_cache(maxsize=1024)
+def weight2_leading_tubes(g: Graph, system: str) -> frozenset:
+    """Tubes T whose weight-two monomial {T, V} is a leading term of the
+    system's relation ideal on g.  {T, V} is one edge, from the root
+    labelled V - T to T, so these are the proper tubes failing the edge
+    rule.  grav: the non-singleton tubes and the minimal vertex.  grcom: all
+    but the maximal vertex, the ≺-minimal tube.  hyper: the tubes whose
+    outside neighbours all exceed their maximum; the reversed-order pivots
+    of the hyper span have the same size and normal count, but only this
+    set is compatible with the reduction map."""
+    _check_system(system)
+    labels, _, _, border = _tube_table(g)
+    full = (1 << g.n) - 1
+    return frozenset(t for m, t in labels.items() if m != full
+                     and _lead(system, m) <= _bar(system, full & ~m, border[m]))
+
+
+def _normal(system: str, border: dict[int, int], masks: tuple[int, ...]) -> bool:
+    parent, label = _mask_tree(masks)
+    for m, p, low in zip(masks, parent, label):
+        if p is not None and _lead(system, low) <= _bar(system, label[p], border[m]):
+            return False
+    return True
 
 
 def is_normal(ns: NestedSet, system: str) -> bool:
-    """No quadratic divisor of the monomial is a leading term of the system."""
+    """No quadratic divisor of the monomial is a leading term of the system,
+    tested edge by edge without building one: min(L ∩ N(C)) < max L′ for
+    hyper, L′ a singleton above min L for grav, or above max L for grcom,
+    whose monomials are also maximal."""
+    _check_system(system)
     if system == "grcom" and len(ns) != ns.host.n:
         return False
-    parent, label = _mask_tree(ns.masks)
-    for i, p in enumerate(parent):
-        if p is not None:
-            delta, tube = _divisor(ns.host, ns.masks, parent, label, i)
-            if tube in weight2_leading_tubes(delta, system):
-                return False
-    return True
+    return _normal(system, _tube_table(ns.host)[3], ns.masks)
 
 
 def normal_monomials(g: Graph, system: str, cap: int = DEFAULT_CAP) -> list[NestedSet]:
     """Monomials with no leading quadratic divisor, in the deterministic
     enumeration order.  The grcom system has one generator only on the
-    one-vertex graph, so its monomials are the maximal nested sets."""
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    one-vertex graph, so its monomials are maximal nested sets."""
+    _check_system(system)
+    _check_host(g, cap)
+    _, rank, _, border = _tube_table(g)
+    full = ((1 << g.n) - 1,)
     out = []
-    for ns in enumerate_nested(g, augmented=True, cap=cap):
-        if system == "grcom" and len(ns) != g.n:
-            continue
-        if is_normal(ns, system):
-            out.append(ns)
+    # the walk of enumerate_nested, wrapping only the normal sets
+    for masks in _iter_nested_masks(g, g.n - 1 if system == "grcom" else None):
+        ms = tuple(sorted(masks, key=rank.__getitem__)) + full
+        if _normal(system, border, ms):
+            out.append(NestedSet(g, ms))
     return out
+
+
+def normal_counts(g: Graph, system: str, cap: int = DEFAULT_CAP) -> list[int]:
+    """Normal monomials counted by degree n - |N|, without enumerating.
+
+    The edge rule is local, so the face recursion of
+    :func:`grakit.polycomb.f_vector` counts them once every edge obeys it.
+    With N(T, L) the polynomial of the normal nested sets of G[T] with root
+    label L, N(T, L) = x * prod over components C of T - L of the sum of
+    N(C, L′) over the L′ clearing the bar under L.  Each tube keeps these
+    sums as suffix sums over the lead bit, so one lookup gives the inner
+    sum.  Below the root grav and grcom admit singleton labels only, and
+    grcom at the root too, as its monomials are maximal.  Polynomials are
+    held at x = 2^(n²) as in ``f_vector``.
+    """
+    _check_system(system)
+    _check_host(g, cap)
+    n, w = g.n, g.n * g.n
+    full = (1 << n) - 1
+    border = _tube_table(g)[3]
+    above: dict[int, list[int]] = {}  # tube -> sums of N(C, L′) over lead index >= i
+    for mask in border:  # smaller tubes first
+        every = system == "hyper" or (system == "grav" and mask == full)
+        by_lead = [0] * (n + 2)
+        label = mask
+        while label:
+            if every or not label & (label - 1):
+                prod = 1 << w
+                for c in component_masks(g, mask & ~label):
+                    prod *= above[c][_bar(system, label, border[c]).bit_length() + 1]
+                by_lead[_lead(system, label).bit_length()] += prod
+            label = (label - 1) & mask
+        for i in range(n, -1, -1):
+            by_lead[i] += by_lead[i + 1]
+        above[mask] = by_lead
+    top = above[full][0]
+    return [top >> (n - d) * w & ((1 << w) - 1) for d in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ per-node functions; they go out through ``NestedSet.tubes``, ``to_json`` and
 :func:`nested_tree`.
 
 One per-host table (:func:`_tube_table`) gives every tube mask its labels,
-canonical rank and ≺ key; :func:`_compat_table` adds the compatible tubes,
-which the one backtracker (:func:`_iter_nested_masks`) walks to enumerate
-nested sets, and one rule (:func:`_mask_tree`) derives their trees.  ≺ on
-subsets is ascending order of the bit-reversed mask, so ◁ (the sort key
-:func:`lex_key`) compares masks.  Face counts need no enumeration (see
-:func:`grakit.polycomb.f_vector`).
+canonical rank, ≺ key and neighbourhood; :func:`_compat_table` adds the
+compatible tubes, which the one backtracker (:func:`_iter_nested_masks`)
+walks to enumerate nested sets, and one rule (:func:`_mask_tree`) derives
+their trees.  ≺ on subsets is ascending order of the bit-reversed mask, so ◁
+(the sort key :func:`lex_key`) compares masks.  Face counts need no
+enumeration (see :func:`grakit.polycomb.f_vector`).
 """
 
 from __future__ import annotations
@@ -106,13 +106,16 @@ def nested_set_from_json(host: Graph, data: dict) -> NestedSet:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _tube_table(g: Graph) -> tuple[dict[int, Tube], dict[int, int], dict[int, int]]:
+def _tube_table(g: Graph) -> tuple[dict[int, Tube], dict[int, int], dict[int, int], dict[int, int]]:
     """The per-host tube table: every tube mask, the full set included,
     mapped to its label tuple (in the canonical (size, lexicographic)
-    order), to its rank in that order, and to its ≺ key."""
+    order), to its rank in that order, to its ≺ key, and to its
+    neighbourhood, the mask of the vertices outside it adjacent to it."""
     found = {m: labels_of(g, m) for m in range(1, 1 << g.n) if connected_mask(g, m)}
     labels = dict(sorted(found.items(), key=lambda mt: (len(mt[1]), mt[1])))
-    return labels, {m: r for r, m in enumerate(labels)}, {m: prec_key(m, g.n) for m in labels}
+    adj = _adjacency(g)
+    return (labels, {m: r for r, m in enumerate(labels)}, {m: prec_key(m, g.n) for m in labels},
+            {m: reduce(or_, (a for i, a in enumerate(adj) if m >> i & 1)) & ~m for m in labels})
 
 
 def _is_tube(g: Graph, t: Iterable[int]) -> bool:
@@ -283,14 +286,16 @@ def _mask_tree(masks: Sequence[int]) -> tuple[list, list[int]]:
     """Parent index (None for the root) and label of each tube mask of an
     augmented nested set listed by ascending size: a node's parent is its
     smallest strict superset, its label is its mask minus its children."""
-    parent: list = [None] * len(masks)
+    k = len(masks)
+    parent: list = [None] * k
     label = list(masks)
-    for i, t in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            if masks[j] & t == t:
-                parent[i] = j
-                label[j] &= ~t
-                break
+    for i in range(k - 1):
+        t, j = masks[i], i + 1
+        while j < k and masks[j] & t != t:
+            j += 1
+        if j < k:
+            parent[i] = j
+            label[j] &= ~t
     return parent, label
 
 
@@ -390,13 +395,6 @@ def lex_key(ns: NestedSet) -> tuple:
 # Quadratic divisors and tube insertion.
 # ---------------------------------------------------------------------------
 
-def _divisor(g: Graph, masks: tuple[int, ...], parent: list, label: list[int],
-             i: int) -> tuple[Graph, Tube]:
-    """The quadratic divisor at the non-root node i of a mask tree."""
-    keep = label[parent[i]] | label[i]
-    return _reconnect(g, keep, masks[parent[i]] & ~keep), labels_of(g, label[i])
-
-
 def quadratic_divisor(ns: NestedSet, t: Tube) -> tuple[Graph, Tube]:
     """Two-node subquotient of a nested set at a non-root tube.
 
@@ -407,7 +405,8 @@ def quadratic_divisor(ns: NestedSet, t: Tube) -> tuple[Graph, Tube]:
     i, parent, label = _node(ns, t)
     if parent[i] is None:
         raise ValueError("the root has no quadratic divisor")
-    return _divisor(ns.host, ns.masks, parent, label, i)
+    keep = label[parent[i]] | label[i]
+    return _reconnect(ns.host, keep, ns.masks[parent[i]] & ~keep), labels_of(ns.host, label[i])
 
 
 def _reach(g: Graph, x: int, children: list[int]) -> dict[int, int]:

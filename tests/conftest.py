@@ -14,8 +14,22 @@ from functools import lru_cache
 
 import pytest
 
-from grakit import Graph, GrComX, NestedSet, QMatrix, is_connected, make_graph
+from grakit import (
+    Graph,
+    GrComX,
+    NestedSet,
+    QMatrix,
+    RelationSet,
+    free_weight2_basis,
+    gravity_relations,
+    hypercom_relations,
+    is_connected,
+    make_graph,
+    proper_tubes,
+    quadratic_divisor,
+)
 from grakit.engine import _inversion_sign
+from grakit.tubings import lex_key
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +230,102 @@ def nested_lex_less(t1: NestedSet, t2: NestedSet) -> bool:
         a.remove(prec_max(a))
         b.remove(prec_max(b))
     return False
+
+
+def gerst_decomposition_count(g: Graph) -> int:
+    """Number of summands in the underlying reconnected-product splitting,
+    one one-dimensional summand per vertex subset."""
+    return sum(
+        1 for r in range(g.n + 1) for _ in itertools.combinations(g.vertices, r)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Leading terms by elimination, and normality by quadratic divisors: the
+# oracle for the library's edge rule.
+# ---------------------------------------------------------------------------
+
+def leading_term(vector, basis: list[NestedSet], ordering: str = "lex") -> NestedSet:
+    """Monomial of the largest nonzero coefficient under the nested-set
+    order ("lex"), or the smallest ("opposite")."""
+    if ordering not in ("lex", "opposite"):
+        raise ValueError(f"unknown ordering {ordering!r}")
+    support = [ns for ns, c in zip(basis, vector) if c]
+    if not support:
+        raise ValueError("zero vector has no leading term")
+    pick = max if ordering == "lex" else min
+    return pick(support, key=lex_key)
+
+
+def pivot_tubes(relations: RelationSet, ordering: str) -> frozenset:
+    """Leading tubes of the span of a weight-two relation set: eliminate in
+    the chosen order and read off the pivot monomials."""
+    basis = list(relations.basis)
+    order = sorted(range(len(basis)), key=lambda i: lex_key(basis[i]),
+                   reverse=(ordering == "lex"))
+    pivots: dict = {}
+    for vec in relations.vectors:
+        row = list(vec)
+        while True:
+            lead = next((i for i in order if row[i]), None)
+            if lead is None:
+                break
+            if lead in pivots:
+                c = row[lead] / pivots[lead][lead]
+                row = [a - c * b for a, b in zip(row, pivots[lead])]
+            else:
+                pivots[lead] = row
+                break
+    return frozenset(basis[i].tubes[0] for i in pivots)
+
+
+def grcom_relations(g: Graph) -> RelationSet:
+    """The graded commutative relations in weight two: every weight-two
+    monomial equals the first one."""
+    basis = tuple(free_weight2_basis(g, cap=g.n))
+    vectors = tuple(tuple(Fraction((j == i) - (j == 0)) for j in range(len(basis)))
+                    for i in range(1, len(basis)))
+    return RelationSet(g, basis, vectors)
+
+
+def hyper_leading_tubes_by_order(g: Graph) -> frozenset:
+    """Pivots of the hypercommutative relation span under the reversed
+    nested-set order; a set of the same size and normal count as the
+    library's reduction-compatible one."""
+    if g.n < 2:
+        return frozenset()
+    return pivot_tubes(hypercom_relations(g), "opposite")
+
+
+@lru_cache(maxsize=None)
+def oracle_leading_tubes(g: Graph, system: str) -> frozenset:
+    """Leading weight-two tubes of a system on g, from the relations: the
+    pivots for grav and grcom; for hyper the tubes all of whose outside
+    neighbours, read off the edge list, exceed their maximum."""
+    if system == "grav":
+        return pivot_tubes(gravity_relations(g, cap=g.n), "lex")
+    if system == "grcom":
+        return pivot_tubes(grcom_relations(g), "lex")
+    out = set()
+    for t in proper_tubes(g, cap=g.n):
+        outside = {b for a, b in g.edges if a in t and b not in t}
+        outside |= {a for a, b in g.edges if b in t and a not in t}
+        if all(v > max(t) for v in outside):
+            out.add(t)
+    return frozenset(out)
+
+
+def oracle_is_normal(ns: NestedSet, system: str) -> bool:
+    """No quadratic divisor of an augmented nested set is a leading
+    weight-two monomial of the system; grcom monomials are maximal."""
+    if system == "grcom" and len(ns) != ns.host.n:
+        return False
+    for t in ns.tubes:
+        if t != ns.host.vertices:
+            delta, tube = quadratic_divisor(ns, t)
+            if tube in oracle_leading_tubes(delta, system):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from grakit import (
     enumerate_nested,
     f_vector,
     family,
-    gerst_decomposition_count,
     gerst_derivation_matrix,
     gerst_dimension,
     gravity_dims,
@@ -35,13 +34,14 @@ from grakit import (
     is_normal,
     koszul_check,
     maximal_nested,
+    normal_counts,
     normal_monomials,
     proper_tubes,
     rank,
     reduction,
     relation_pairing,
 )
-from conftest import BROKEN_GERST, random_connected_graphs
+from conftest import BROKEN_GERST, gerst_decomposition_count, random_connected_graphs
 
 
 @contextmanager
@@ -213,14 +213,23 @@ def _check_koszul_pairing(g):
 
 
 def test_criterion_10_groebner_counts(classes_upto_6):
-    with criterion(10, "normal monomial counts: 2^(n-1) for gravity and the "
-                       "polytope vertex count h(1) for hypercommutative, "
+    with criterion(10, "normal monomials by degree, enumerated and counted by "
+                       "the tube recursion: binom(n-1, k) for gravity, the "
+                       "h-vector for hypercommutative (h(1) = the polytope's "
+                       "vertex count), one maximal set for grcom, "
                        "for <= 6 vertices"):
         for g in classes_upto_6:
-            assert len(normal_monomials(g, "grav")) == 2 ** (g.n - 1), g
-            vertex_count = len(maximal_nested(g))
-            assert sum(h_poly_from_f(f_vector(g))) == vertex_count
-            assert len(normal_monomials(g, "hyper")) == vertex_count, g
+            n = g.n
+            h = h_poly_from_f(f_vector(g))
+            assert sum(h) == len(maximal_nested(g)), g
+            want = {"grav": [math.comb(n - 1, k) for k in range(n)],
+                    "hyper": h + [0] * (n - len(h)),
+                    "grcom": [1] + [0] * (n - 1)}
+            for system, counts in want.items():
+                by_degree = [0] * n
+                for ns in normal_monomials(g, system):
+                    by_degree[n - len(ns)] += 1
+                assert by_degree == normal_counts(g, system) == counts, (g, system)
 
 
 def test_criterion_11_reduction_induction(classes_upto_6):

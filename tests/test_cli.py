@@ -250,6 +250,15 @@ def test_relations_take_the_cap(capsys):
     assert data["span_dim"] == len(data["basis"]) - 9
 
 
+def test_check_gravity_takes_the_cap(capsys):
+    code, out, err = run(capsys, "check-gravity", "--graph", "path:10", "--cap", "10")
+    assert code == 0, err
+    assert json.loads(out)["ok"] is True
+    code, out, err = run(capsys, "check-gravity", "--graph", "path:10")
+    assert code == 1 and out == ""
+    assert err == "grakit: error: 10 vertices exceeds cap 9\n"
+
+
 PATH_18_TOP = '{"tubes": [[%s]]}' % ",".join(map(str, range(1, 19)))
 
 

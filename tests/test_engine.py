@@ -14,7 +14,6 @@ from grakit import (
     family,
     free_weight2_basis,
     gerst_circ,
-    gerst_decomposition_count,
     gerst_derivation_matrix,
     gerst_dimension,
     gerst_relabel,
@@ -27,7 +26,7 @@ from grakit import (
     relation_pairing,
 )
 from grakit.engine import gerst_basis_element, gerst_unit
-from conftest import BROKEN_GERST, kernel_basis
+from conftest import BROKEN_GERST, gerst_decomposition_count, kernel_basis
 
 
 def test_free_weight2_basis_counts():

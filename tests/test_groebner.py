@@ -1,8 +1,12 @@
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from grakit import (
+    CapExceededError,
     boundary,
     cobar_complex,
     descents,
@@ -13,24 +17,34 @@ from grakit import (
     gravity_relations,
     h_poly_from_descents,
     homology_dims,
-    hyper_leading_tubes_by_order,
     hypercom_relations,
     induction,
     is_normal,
     koszul_check,
-    leading_term,
     make_graph,
     maximal_nested,
     nested_set,
     nested_tree,
+    normal_counts,
     normal_monomials,
     proper_tubes,
     quadratic_divisor,
     reduction,
     weight2_leading_tubes,
 )
-from grakit.polycomb import trim
+from grakit.groebner import SYSTEMS
+from grakit.polycomb import h_poly_from_f, trim
 from grakit.tubings import enumerate_nested, lex_key
+from conftest import (
+    grcom_relations,
+    hyper_leading_tubes_by_order,
+    leading_term,
+    oracle_is_normal,
+    oracle_leading_tubes,
+    pivot_tubes,
+    random_connected_graphs,
+    relabelled,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +214,35 @@ def test_grav_leading_tubes_closed_form(classes_upto_5):
         assert weight2_leading_tubes(g, "grav") == want
 
 
+def _with_relabelled(graphs, seed):
+    rng = random.Random(seed)
+    return list(graphs) + [relabelled(g, rng) for g in graphs]
+
+
+def test_weight2_leading_tubes_are_the_pivots(classes_upto_5):
+    # the closed forms are the elimination pivots for grav and grcom, and the
+    # outside-neighbour set read off the edge list for hyper
+    for g in _with_relabelled(classes_upto_5, 2207):
+        if g.n < 2:
+            continue
+        assert weight2_leading_tubes(g, "grav") == pivot_tubes(gravity_relations(g), "lex"), g
+        assert weight2_leading_tubes(g, "grcom") == pivot_tubes(grcom_relations(g), "lex"), g
+        assert weight2_leading_tubes(g, "hyper") == oracle_leading_tubes(g, "hyper"), g
+
+
+def test_weight2_leading_tubes_cache_is_bounded():
+    assert weight2_leading_tubes.cache_info().maxsize is not None
+
+
+def test_edge_rule_matches_divisor_oracle(classes_upto_5):
+    # the bit test on (parent label, child tube, child label) decides what
+    # the quadratic divisors and the leading sets of the relations decide
+    for g in _with_relabelled(classes_upto_5, 2208):
+        for ns in enumerate_nested(g, augmented=True):
+            for system in SYSTEMS:
+                assert is_normal(ns, system) == oracle_is_normal(ns, system), (ns, system)
+
+
 def test_grav_normality_on_ten_vertices():
     # the divisor at {1} is the whole host, past the default cap of the
     # relation builder; only the minimal vertex's singleton leads
@@ -270,6 +313,61 @@ def test_grav_normal_counts_match_kernel_dims(classes_upto_5):
         dims = gravity_dims(g).by_degree
         for k in range(g.n + 1):
             assert by_weight.get(k, 0) == dims.get(k, 0)
+
+
+def _by_degree(g, system):
+    out = [0] * g.n
+    for ns in normal_monomials(g, system):
+        out[g.n - len(ns)] += 1
+    return out
+
+
+def test_normal_counts_match_enumeration_relabelled(classes_upto_5):
+    rng = random.Random(2209)
+    for g in classes_upto_5:
+        g = relabelled(g, rng)
+        for system in SYSTEMS:
+            assert normal_counts(g, system) == _by_degree(g, system), (g, system)
+
+
+def test_normal_counts_checks_its_input():
+    with pytest.raises(ValueError):
+        normal_counts(family("path", 3), "mystery")
+    with pytest.raises(CapExceededError):
+        normal_counts(family("path", 10), "hyper")
+    assert normal_counts(family("path", 1), "grcom") == [1]
+
+
+def _eulerian(n, k):
+    return sum((-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 2))
+
+
+def _narayana(n, k):
+    return math.comb(n, k) * math.comb(n, k + 1) // n
+
+
+def test_normal_counts_at_reach():
+    # PBW at reach: hyper normal monomials by degree are the h-vector
+    # (Eulerian numbers on complete graphs, Narayana numbers on paths,
+    # binom(n-1, k)^2 on cycles), grav ones are binom(n-1, k), and grcom
+    # has the one maximal set
+    hosts = ([(family("complete", n), _eulerian) for n in range(1, 11)]
+             + [(family("path", n), _narayana) for n in range(1, 13)]
+             + [(family("cycle", n), lambda n, k: math.comb(n - 1, k) ** 2)
+                for n in range(3, 13)]
+             + [(family("star", n), None) for n in range(2, 12)]
+             + [(g, None) for g in random_connected_graphs(8, 2, seed=2210)
+                + random_connected_graphs(9, 2, seed=2211)])
+    t0 = time.monotonic()
+    for g, closed in hosts:
+        n = g.n
+        hyper = normal_counts(g, "hyper", cap=n)
+        assert trim(hyper) == h_poly_from_f(f_vector(g, cap=n)), g
+        if closed:
+            assert hyper == [closed(n, k) for k in range(n)], g
+        assert normal_counts(g, "grav", cap=n) == [math.comb(n - 1, k) for k in range(n)], g
+        assert normal_counts(g, "grcom", cap=n) == [1] + [0] * (n - 1), g
+    assert time.monotonic() - t0 < 15.0
 
 
 # ---------------------------------------------------------------------------
