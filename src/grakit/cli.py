@@ -173,10 +173,10 @@ def _cmd_relations(args):
         "graph": args.graph,
         "which": args.system,
         "basis": [list(t) for t in rel.basis_tubes],
-        "vectors": [[int(x) for x in v] for v in rel.vectors],
+        "vectors": [list(v) for v in rel.vectors],
         "span_dim": rel.span_dim(),
     }
-    rows = [[i] + [int(x) for x in v] for i, v in enumerate(rel.vectors)]
+    rows = [[i, *v] for i, v in enumerate(rel.vectors)]
     header = ["relation"] + ["e_" + "".join(map(str, t)) for t in rel.basis_tubes]
     return report, EXIT_OK, (rows, header)
 

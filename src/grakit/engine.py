@@ -10,48 +10,45 @@ per-vertex factors.  The Koszul sign of a merge counts the pairs of
 odd-degree factors that are out of ascending vertex order; this single
 convention fixes all signs, and is validated by the derivation squaring to
 zero and by the axiom suite.
+
+Coefficients are integers: every structure constant of these models is a
+sign, so nothing divides.  The arithmetic is whatever the caller's numbers
+do, so elements with exact rational coefficients stay exact.  Vertex subsets
+are bitmasks of the host (bit i is the i-th smallest label), and the axiom
+suite walks the host's tube table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactla import QMatrix, _rank_exact
 from .graphs import (
     Graph,
-    NotConnectedError,
+    _bit_index,
+    _reconnect,
     automorphisms,
     component_masks,
     induced,
-    is_connected,
     labels_of,
     mask_of,
     reconnected_complement,
 )
-from .tubings import DEFAULT_CAP, NestedSet, _check_host, _proper_masks, proper_tubes
+from .tubings import DEFAULT_CAP, NestedSet, _check_host, _proper_masks, _tube_table
 
 # An element of a graded-product model over a graph is a dict mapping
 # assignments (one generator index per vertex, in ascending vertex order)
-# to nonzero rational coefficients.
+# to nonzero coefficients.
 Assignment = tuple[int, ...]
 Element = dict
-
-
-def _clean(terms: Element) -> Element:
-    return {k: v for k, v in terms.items() if v}
-
-
-def _scaled(terms: Element, c: Fraction) -> Element:
-    return {k: c * v for k, v in terms.items()} if c else {}
 
 
 def _added(x: Element, y: Element, s: int = 1) -> Element:
     out = dict(x)
     for k, v in y.items():
-        out[k] = out.get(k, Fraction(0)) + s * v
-    return _clean(out)
+        out[k] = out.get(k, 0) + s * v
+    return out
 
 
 def _inversion_sign(seq: list[int]) -> int:
@@ -68,44 +65,39 @@ class GrComX:
     generator_degrees: tuple[int, ...]
 
     def basis(self, g: Graph) -> list[Assignment]:
-        return [
-            tuple(a)
-            for a in itertools.product(range(len(self.generator_degrees)), repeat=g.n)
-        ]
-
-    def dimension(self, g: Graph) -> int:
-        return len(self.generator_degrees) ** g.n
+        return list(itertools.product(range(len(self.generator_degrees)), repeat=g.n))
 
     def degree(self, assignment: Assignment) -> int:
         return sum(self.generator_degrees[i] for i in assignment)
 
     def _merge_sign(self, seq: list[tuple[int, int]]) -> int:
-        """seq lists (vertex, degree) in concatenation order; the sign sorts
+        """seq lists (position, degree) in concatenation order; the sign sorts
         the odd-degree factors into the target vertex order."""
-        return _inversion_sign([v for v, d in seq if d % 2])
+        return _inversion_sign([p for p, d in seq if d % 2])
 
     def compose(self, g: Graph, v: tuple[int, ...], outer: Element, parts: list[Element]) -> Element:
         """Structure map at a vertex subset v: outer lives on the reconnected
         complement, one inner factor per component of the induced subgraph on
         v, components ordered by minimum vertex."""
         vmask = mask_of(g, v)
-        comps = [labels_of(g, m) for m in component_masks(g, vmask)]
-        if len(comps) != len(parts):
-            raise ValueError(f"expected {len(comps)} inner factors, got {len(parts)}")
-        rest = [u for u in g.vertices if u not in set(v)]
+        blocks = [(1 << g.n) - 1 & ~vmask] + component_masks(g, vmask)
+        if len(blocks) != len(parts) + 1:
+            raise ValueError(f"expected {len(blocks) - 1} inner factors, got {len(parts)}")
+        positions = [[i for i in range(g.n) if b >> i & 1] for b in blocks]
+        degrees = self.generator_degrees
         out: Element = {}
         for combo in itertools.product(outer.items(), *[p.items() for p in parts]):
-            (so, co), *inner = combo
-            coeff = co
-            by_vertex = dict(zip(rest, so))
-            seq = [(u, self.generator_degrees[i]) for u, i in zip(rest, so)]
-            for (si, ci), comp in zip(inner, comps):
-                coeff *= ci
-                by_vertex.update(zip(comp, si))
-                seq += [(u, self.generator_degrees[i]) for u, i in zip(comp, si)]
-            key = tuple(by_vertex[u] for u in g.vertices)
-            out[key] = out.get(key, Fraction(0)) + self._merge_sign(seq) * coeff
-        return _clean(out)
+            key = [0] * g.n
+            seq = []
+            coeff = 1
+            for pos, (assignment, c) in zip(positions, combo):
+                coeff *= c
+                for p, i in zip(pos, assignment):
+                    key[p] = i
+                    seq.append((p, degrees[i]))
+            key = tuple(key)
+            out[key] = out.get(key, 0) + self._merge_sign(seq) * coeff
+        return {k: c for k, c in out.items() if c}
 
     def circ(self, g: Graph, t: tuple[int, ...], x: Element, y: Element) -> Element:
         """Tube composition: x on the reconnected complement, y on the tube."""
@@ -122,12 +114,12 @@ class GrComX:
             images = [alpha[u] for u, i in zip(g.vertices, assignment)
                       if self.generator_degrees[i] % 2]
             key = tuple(i for _, i in pairs)
-            out[key] = out.get(key, Fraction(0)) + _inversion_sign(images) * c
-        return _clean(out)
+            out[key] = _inversion_sign(images) * c  # alpha is a bijection: keys never collide
+        return out
 
     def unit(self) -> Element:
         """The basis element over the empty graph."""
-        return {(): Fraction(1)}
+        return {(): 1}
 
 
 GRCOM = GrComX((0,))
@@ -141,34 +133,27 @@ GRGERST = GrComX((0, 1))
 
 @dataclass
 class GerstElement:
-    """Exact-rational combination of subset-indexed basis elements.
+    """Combination of subset-indexed basis elements, with integer
+    coefficients or any exact numbers the caller passes.
 
-    ``terms`` maps the sorted tuple of b-carrying vertices to a nonzero
-    coefficient; the homological degree of a basis element is the subset
-    size.
+    ``terms`` maps the ascending tuple of b-carrying vertices to a nonzero
+    coefficient; zero coefficients are dropped.  The homological degree of
+    a basis element is the subset size.
     """
 
     host: Graph
     terms: dict
 
     def __post_init__(self):
-        vs = set(self.host.vertices)
-        cleaned = {}
-        for s, c in self.terms.items():
-            s = tuple(sorted(s))
-            if not set(s) <= vs:
-                raise ValueError(f"{s} is not a vertex subset of the host")
-            if c:
-                cleaned[s] = Fraction(c)
-        self.terms = cleaned
+        idx = _bit_index(self.host)
+        for s in self.terms:
+            if not (isinstance(s, tuple) and all(map(idx.__contains__, s))
+                    and all(a < b for a, b in zip(s, s[1:]))):
+                raise ValueError(f"{s!r} is not an ascending tuple of host vertices")
+        self.terms = {s: c for s, c in self.terms.items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int | None:
-        """Common degree of the support, or None if inhomogeneous or zero."""
-        degs = {len(s) for s in self.terms}
-        return degs.pop() if len(degs) == 1 else None
 
     def __add__(self, other: "GerstElement") -> "GerstElement":
         if other.host != self.host:
@@ -206,12 +191,12 @@ def _from_element(g: Graph, e: Element) -> GerstElement:
 
 
 def gerst_basis_element(g: Graph, s: tuple[int, ...]) -> GerstElement:
-    return GerstElement(g, {tuple(sorted(s)): Fraction(1)})
+    return GerstElement(g, {tuple(sorted(s)): 1})
 
 
 def gerst_unit(g: Graph) -> GerstElement:
     """The degree-zero generator product m over every vertex."""
-    return GerstElement(g, {(): Fraction(1)})
+    return GerstElement(g, {(): 1})
 
 
 def gerst_circ(g: Graph, t: tuple[int, ...], x: GerstElement, y: GerstElement) -> GerstElement:
@@ -241,17 +226,16 @@ def derivation(x: GerstElement) -> GerstElement:
     On a basis element the sign at vertex v is (-1)^(number of b-factors
     before v in ascending vertex order).
     """
-    g = x.host
     out: dict = {}
     for s, c in x.terms.items():
-        sset = set(s)
-        for v in g.vertices:
-            if v in sset:
+        i = 0  # the b-factors before v are s[:i]
+        for v in x.host.vertices:
+            if i < len(s) and s[i] == v:
+                i += 1
                 continue
-            sgn = -1 if sum(1 for u in s if u < v) % 2 else 1
-            key = tuple(sorted(sset | {v}))
-            out[key] = out.get(key, Fraction(0)) + sgn * c
-    return GerstElement(g, out)
+            key = s[:i] + (v,) + s[i:]
+            out[key] = out.get(key, 0) + (-c if i % 2 else c)
+    return GerstElement(x.host, out)
 
 
 def gerst_derivation_matrix(g: Graph, k: int) -> QMatrix:
@@ -262,12 +246,11 @@ def gerst_derivation_matrix(g: Graph, k: int) -> QMatrix:
     dom = list(itertools.combinations(g.vertices, k))
     cod = list(itertools.combinations(g.vertices, k + 1))
     index = {s: i for i, s in enumerate(cod)}
-    rows = [[Fraction(0)] * len(dom) for _ in cod]
+    rows = [[0] * len(dom) for _ in cod]
     for j, s in enumerate(dom):
-        img = derivation(gerst_basis_element(g, s))
-        for t, c in img.terms.items():
+        for t, c in derivation(gerst_basis_element(g, s)).terms.items():
             rows[index[t]][j] = c
-    return QMatrix(len(cod), len(dom), tuple(tuple(r) for r in rows))
+    return QMatrix.from_rows(rows, len(dom))
 
 
 @dataclass(frozen=True)
@@ -282,7 +265,7 @@ def gravity_dims(g: Graph) -> GravityDims:
     In each degree the images of the basis elements are the sparse columns
     of the derivation, ranked exactly without building a matrix.
     """
-    _require_connected(g)
+    _check_host(g, g.n)  # uncapped: a cap here changes the benchmark (ROADMAP item 5)
     by_degree = {}
     for k in range(g.n + 1):
         dom = list(itertools.combinations(g.vertices, k))
@@ -294,7 +277,7 @@ def gravity_dims(g: Graph) -> GravityDims:
 def gravity_generator(g: Graph) -> GerstElement:
     """Image of the degree-zero generator under the derivation: the sum of
     all singleton basis elements.  It lies in the kernel of the derivation."""
-    _require_connected(g)
+    _check_host(g, g.n)  # uncapped, as gravity_dims
     return derivation(gerst_unit(g))
 
 
@@ -302,7 +285,7 @@ def _lambda_circ_vertex(g: Graph, v: int) -> GerstElement:
     """Composition of the gravity generator of g with the vertex v removed
     against the degree-one generator at v."""
     gs = reconnected_complement(g, (v,))
-    outer = gravity_generator(gs) if gs.n else GerstElement(gs, {(): Fraction(1)})
+    outer = gravity_generator(gs) if gs.n else gerst_unit(gs)
     inner = gerst_basis_element(induced(g, (v,)), (v,))
     return gerst_circ(g, (v,), outer, inner)
 
@@ -325,22 +308,20 @@ def check_gravity_relations(g: Graph, cap: int = DEFAULT_CAP) -> GravityRelation
     compositions equals the single composition at T; the sum over all
     vertices vanishes.
     """
-    _require_connected(g)
+    _check_host(g, cap)
     if g.n < 2:
         raise ValueError("relations need at least two vertices")
+    lam = {v: _lambda_circ_vertex(g, v) for v in g.vertices}
+    full = (1 << g.n) - 1
     results = []
-    for t in proper_tubes(g, cap):
-        if len(t) < 2:
+    for m, t in _tube_table(g)[0].items():
+        if len(t) < 2 or m == full:
             continue
-        lhs = GerstElement(g, {})
-        for v in t:
-            lhs = lhs + _lambda_circ_vertex(g, v)
-        gs = reconnected_complement(g, t)
-        rhs = gerst_circ(g, t, gravity_generator(gs), gravity_generator(induced(g, t)))
+        lhs = sum((lam[v] for v in t), GerstElement(g, {}))
+        rhs = gerst_circ(g, t, gravity_generator(_reconnect(g, full & ~m, m)),
+                         gravity_generator(_reconnect(g, m, 0)))
         results.append((t, lhs == rhs))
-    total = GerstElement(g, {})
-    for v in g.vertices:
-        total = total + _lambda_circ_vertex(g, v)
+    total = sum(lam.values(), GerstElement(g, {}))
     return GravityRelationReport(g, tuple(results), total.is_zero())
 
 
@@ -350,12 +331,12 @@ def check_gravity_relations(g: Graph, cap: int = DEFAULT_CAP) -> GravityRelation
 
 @dataclass(frozen=True)
 class RelationSet:
-    """Rational relation vectors over the weight-two monomial basis of a
+    """Integer relation vectors over the weight-two monomial basis of a
     fixed host; each basis monomial is the two-tube nested set {T, V}."""
 
     host: Graph
     basis: tuple  # tuple[NestedSet, ...]
-    vectors: tuple  # tuple[tuple[Fraction, ...], ...]
+    vectors: tuple  # tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if any(len(v) != len(self.basis) for v in self.vectors):
@@ -374,10 +355,9 @@ class RelationSet:
 def free_weight2_basis(g: Graph, cap: int = DEFAULT_CAP) -> list[NestedSet]:
     """Weight-two monomials: one per proper tube T, the shape {T, V},
     in ascending subset order of T."""
-    _require_connected(g)
+    _check_host(g, cap)
     if g.n < 2:
         raise ValueError("weight-two basis needs at least two vertices")
-    _check_host(g, cap)
     full = (1 << g.n) - 1
     return [NestedSet(g, (m, full)) for m in _proper_masks(g)]
 
@@ -386,20 +366,19 @@ def gravity_relations(g: Graph, cap: int = DEFAULT_CAP) -> RelationSet:
     """One vector e_T - sum of e_{v} over v in T for each tube of size at
     least two, plus the all-singleton sum."""
     basis = free_weight2_basis(g, cap)
-    tubes_ = [ns.tubes[0] for ns in basis]
-    index = {t: i for i, t in enumerate(tubes_)}
+    index = {ns.masks[0]: i for i, ns in enumerate(basis)}
+    singles = [index[1 << b] for b in range(g.n)]
     vectors = []
-    for t in tubes_:
-        if len(t) < 2:
-            continue
-        v = [Fraction(0)] * len(basis)
-        v[index[t]] = Fraction(1)
-        for u in t:
-            v[index[(u,)]] -= 1
-        vectors.append(tuple(v))
-    total = [Fraction(0)] * len(basis)
-    for u in g.vertices:
-        total[index[(u,)]] += 1
+    for m, i in index.items():
+        if m & (m - 1):  # at least two vertices
+            v = [0] * len(basis)
+            v[i] = 1
+            for b in range(g.n):
+                v[singles[b]] -= m >> b & 1
+            vectors.append(tuple(v))
+    total = [0] * len(basis)
+    for j in singles:
+        total[j] = 1
     vectors.append(tuple(total))
     return RelationSet(g, tuple(basis), tuple(vectors))
 
@@ -408,20 +387,13 @@ def hypercom_relations(g: Graph, cap: int = DEFAULT_CAP) -> RelationSet:
     """One vector per edge (v, v'): the difference of the sums of e_T over
     proper tubes containing v and containing v'."""
     basis = free_weight2_basis(g, cap)
-    tubes_ = [ns.tubes[0] for ns in basis]
-    vectors = []
-    for a, b in g.edges:
-        v = [Fraction(0)] * len(basis)
-        for i, t in enumerate(tubes_):
-            if a in t and b not in t:
-                v[i] += 1
-            elif b in t and a not in t:
-                v[i] -= 1
-        vectors.append(tuple(v))
+    masks = [ns.masks[0] for ns in basis]
+    idx = _bit_index(g)
+    vectors = [tuple((m >> idx[a] & 1) - (m >> idx[b] & 1) for m in masks) for a, b in g.edges]
     return RelationSet(g, tuple(basis), tuple(vectors))
 
 
-def relation_pairing(r1: RelationSet, r2: RelationSet) -> list[list[Fraction]]:
+def relation_pairing(r1: RelationSet, r2: RelationSet) -> list[list[int]]:
     """Gram matrix of two relation sets under the standard pairing that makes
     the weight-two monomials orthonormal, as dense rows of dot products taken
     over the sparse supports."""
@@ -431,7 +403,7 @@ def relation_pairing(r1: RelationSet, r2: RelationSet) -> list[list[Fraction]]:
     gram = []
     for x in r1.vectors:
         xs = [(i, a) for i, a in enumerate(x) if a]
-        gram.append([sum((a * y[i] for i, a in xs if i in y), Fraction(0)) for y in supports])
+        gram.append([sum(a * y[i] for i, a in xs if i in y) for y in supports])
     return gram
 
 
@@ -452,95 +424,70 @@ class AxiomReport:
         return {name for name, _ in self.violations}
 
 
-def _require_connected(g: Graph) -> None:
-    if g.n == 0 or not is_connected(g):
-        raise NotConnectedError("a nonempty connected graph is required")
-
-
 def check_axioms(model: GrComX, g: Graph, cap: int = DEFAULT_CAP) -> AxiomReport:
     """Verify the unit, parallel, consecutive, and equivariance identities of
-    the structure maps on every basis element of the model over g."""
-    _require_connected(g)
-    violations = []
-    full = g.vertices
-    ts = proper_tubes(g, cap)
-    tube_set = set(ts) | {full}
+    the structure maps on every basis element of the model over g.
 
-    def basis_elts(h: Graph):
-        return [{a: Fraction(1)} for a in model.basis(h)]
+    Tubes are walked as masks in the canonical order of the host's tube
+    table; the reconnected complement and the induced graph of each tube
+    are built once.
+    """
+    _check_host(g, cap)
+    violations = []
+    labels = _tube_table(g)[0]
+    full = (1 << g.n) - 1
+    ts = [m for m in labels if m != full]
+    star = {m: _reconnect(g, full & ~m, m) for m in labels}
+    sub = {m: _reconnect(g, m, 0) for m in labels}
+
+    def elements(*hosts):
+        """Every tuple of basis elements, one over each host."""
+        return itertools.product(*[[{a: 1} for a in model.basis(h)] for h in hosts])
 
     # unit: composing at the empty set and at the full set is the identity
-    for x in basis_elts(g):
+    for (x,) in elements(g):
         if model.compose(g, (), x, []) != x:
             violations.append(("unit", f"empty-set composition moved {x}"))
-        if model.compose(g, full, model.unit(), [x]) != x:
+        if model.compose(g, g.vertices, model.unit(), [x]) != x:
             violations.append(("unit", f"full-set composition moved {x}"))
 
     # parallel: disjoint non-adjacent tubes compose in either order
-    for t1, t2 in itertools.combinations(ts, 2):
-        if set(t1) & set(t2):
+    for m1, m2 in itertools.combinations(ts, 2):
+        if m1 & m2 or (m1 | m2) in labels:
             continue
-        union = tuple(sorted(set(t1) | set(t2)))
-        if union in tube_set:
-            continue
-        g_star_t1 = reconnected_complement(g, t1)
-        g_star_t2 = reconnected_complement(g, t2)
-        g_star_both = reconnected_complement(g, union)
-        for x in basis_elts(g_star_both):
-            for y in basis_elts(induced(g, t1)):
-                for z in basis_elts(induced(g, t2)):
-                    lhs = model.circ(g, t2, model.circ(g_star_t2, t1, x, y), z)
-                    rhs = model.circ(g, t1, model.circ(g_star_t1, t2, x, z), y)
-                    dy = model.degree(next(iter(y)))
-                    dz = model.degree(next(iter(z)))
-                    if dy * dz % 2:
-                        rhs = _scaled(rhs, Fraction(-1))
-                    if lhs != rhs:
-                        violations.append(
-                            ("parallel", f"tubes {t1},{t2} on {x},{y},{z}")
-                        )
+        t1, t2 = labels[m1], labels[m2]
+        for x, y, z in elements(_reconnect(g, full & ~(m1 | m2), m1 | m2), sub[m1], sub[m2]):
+            lhs = model.circ(g, t2, model.circ(star[m2], t1, x, y), z)
+            rhs = model.circ(g, t1, model.circ(star[m1], t2, x, z), y)
+            if model.degree(next(iter(y))) * model.degree(next(iter(z))) % 2:
+                rhs = {k: -c for k, c in rhs.items()}
+            if lhs != rhs:
+                violations.append(("parallel", f"tubes {t1},{t2} on {x},{y},{z}"))
 
     # consecutive: nested tubes compose through the middle layer
-    for t1 in ts:
-        for t2 in sorted(tube_set, key=lambda t: (len(t), t)):
-            if not set(t1) < set(t2):
+    for m1 in ts:
+        for m2 in labels:
+            if m1 & ~m2 or m1 == m2:
                 continue
-            g_t2 = induced(g, t2)
-            mid = reconnected_complement(g_t2, t1)
-            g_star_t1 = reconnected_complement(g, t1)
-            g_star_t2 = reconnected_complement(g, t2)
-            between = tuple(sorted(set(t2) - set(t1)))
-            for x in basis_elts(g_star_t2):
-                for y in basis_elts(mid):
-                    for z in basis_elts(induced(g, t1)):
-                        lhs = model.circ(g, t2, x, model.circ(g_t2, t1, y, z))
-                        rhs = model.circ(
-                            g, t1, model.circ(g_star_t1, between, x, y), z
-                        )
-                        if lhs != rhs:
-                            violations.append(
-                                ("consecutive", f"tubes {t1}<{t2} on {x},{y},{z}")
-                            )
+            t1, t2 = labels[m1], labels[m2]
+            between = labels_of(g, m2 & ~m1)
+            for x, y, z in elements(star[m2], _reconnect(g, m2 & ~m1, m1), sub[m1]):
+                lhs = model.circ(g, t2, x, model.circ(sub[m2], t1, y, z))
+                rhs = model.circ(g, t1, model.circ(star[m1], between, x, y), z)
+                if lhs != rhs:
+                    violations.append(("consecutive", f"tubes {t1}<{t2} on {x},{y},{z}"))
 
     # equivariance: relabeling commutes with every tube composition
     for alpha in automorphisms(g, cap=max(cap, g.n)):
-        for t in ts:
-            g_star = reconnected_complement(g, t)
-            g_t = induced(g, t)
+        for m in ts:
+            t = labels[m]
             at = tuple(sorted(alpha[u] for u in t))
-            restr_out = {u: alpha[u] for u in g_star.vertices}
+            restr_out = {u: alpha[u] for u in star[m].vertices}
             restr_in = {u: alpha[u] for u in t}
-            for x in basis_elts(g_star):
-                for y in basis_elts(g_t):
-                    lhs = model.relabel(g, alpha, model.circ(g, t, x, y))
-                    rhs = model.circ(
-                        g,
-                        at,
-                        model.relabel(g_star, restr_out, x),
-                        model.relabel(g_t, restr_in, y),
-                    )
-                    if lhs != rhs:
-                        violations.append(
-                            ("equivariance", f"alpha={alpha} tube {t} on {x},{y}")
-                        )
+            for x, y in elements(star[m], sub[m]):
+                lhs = model.relabel(g, alpha, model.circ(g, t, x, y))
+                rhs = model.circ(g, at, model.relabel(star[m], restr_out, x),
+                                 model.relabel(sub[m], restr_in, y))
+                if lhs != rhs:
+                    violations.append(("equivariance", f"alpha={alpha} tube {t} on {x},{y}"))
     return AxiomReport(g, tuple(violations))

@@ -9,7 +9,7 @@ the polytope.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from .graphs import Graph, NotConnectedError, component_masks, is_connected
+from .graphs import Graph, component_masks
 from .tubings import DEFAULT_CAP, _check_host, _iter_nested_masks, _mask_tree, _tube_table
 
 Polynomial = list[int]  # coefficient list, index = degree, trailing zeros trimmed
@@ -89,6 +89,4 @@ def h_poly_from_descents(g: Graph, cap: int = DEFAULT_CAP) -> Polynomial:
 def betti(g: Graph, cap: int = DEFAULT_CAP) -> list[int]:
     """Even Betti numbers of the toric variety of the graph associahedron:
     the h-coefficients, b_{2i} = h_i; odd Betti numbers vanish."""
-    if not is_connected(g) or g.n == 0:
-        raise NotConnectedError("Betti numbers require a nonempty connected graph")
     return h_poly_from_f(f_vector(g, cap))

@@ -224,6 +224,13 @@ def test_malformed_json_is_one_line_error(capsys, argv):
     assert err.startswith("grakit: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["axioms", "grav-dims", "betti"])
+def test_disconnected_host_is_one_line_error(capsys, command):
+    code, out, err = run(capsys, command, "--graph", '{"vertices":[1,2,3],"edges":[[1,2]]}')
+    assert code == 1 and out == ""
+    assert err.startswith("grakit: error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["nested"],
     ["nested", "--augmented"],

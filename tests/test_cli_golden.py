@@ -7,8 +7,11 @@ tube lift, so it pins byte-identical reports across refactors of those
 routines.  The second runs the same command list on a fixed, seeded
 relabelling of every host into labels from 1..29; it was recorded before
 nested sets were stored as tube bitmasks, whose order rests on bit order
-matching label order.  If a deliberate change of output format moves a
-digest, record the new one together with that change.
+matching label order.  The third covers the engine commands (relations,
+check-gravity, grav-dims and axioms) on both host lists; it was recorded
+before the engine moved from rational to integer coefficients and from
+label tuples to tube masks.  If a deliberate change of output format moves
+a digest, record the new one together with that change.
 """
 
 import contextlib
@@ -23,6 +26,7 @@ from conftest import connected_classes_upto, relabelled
 
 GOLDEN_SHA256 = "d90d5bfabfe74ef33a9e26769a7812a2d1308eb33c74bdfbf353dee5c975c4b9"
 GOLDEN_RELABELLED_SHA256 = "0d2be9c38d39d946b5342cff17e13fafbc996b2968b45a3dfe76f650755f61e6"
+GOLDEN_ENGINE_SHA256 = "381aa51c36b267ce77a065105c8f458784950a8ca720f60a04dba5b48485cb7b"
 
 FAMILIES_5 = ["path:5", "cycle:5", "star:5", "complete:5"]
 ROUND_TRIP_HOSTS = ["path:4", "complete:4"]
@@ -78,3 +82,19 @@ def test_cli_output_digest_relabelled():
     specs += [relabel(parse_graph(s)) for s in FAMILIES_5]
     hosts = [relabel(parse_graph(s)) for s in ROUND_TRIP_HOSTS]
     assert _digest(specs, hosts) == GOLDEN_RELABELLED_SHA256
+
+
+def test_engine_cli_output_digest():
+    rng = random.Random(20261019)
+    hosts = connected_classes_upto(4) + [parse_graph(s) for s in FAMILIES_5]
+    hosts += [relabelled(g, rng) for g in hosts]
+    chunks = []
+    for g in hosts:
+        spec = json.dumps(g.to_json())
+        argvs = [["grav-dims"], ["axioms"]]
+        if g.n >= 2:  # relations and the gravity check need two vertices
+            argvs += [["relations", "--system", "grav"], ["relations", "--system", "hyper"],
+                      ["relations", "--system", "grav", "--format", "csv"], ["check-gravity"]]
+        for argv in argvs:
+            chunks.append(_run(argv + ["--graph", spec]))
+    assert hashlib.sha256("".join(chunks).encode()).hexdigest() == GOLDEN_ENGINE_SHA256

@@ -1,13 +1,17 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from grakit import (
+    EMPTY_GRAPH,
     GRCOM,
     GRGERST,
     GerstElement,
     GrComX,
+    NotConnectedError,
+    betti,
     check_axioms,
     check_gravity_relations,
     derivation,
@@ -21,9 +25,12 @@ from grakit import (
     gravity_generator,
     gravity_relations,
     hypercom_relations,
+    induced,
     make_graph,
     rank,
+    reconnected_complement,
     relation_pairing,
+    tubes,
 )
 from grakit.engine import gerst_basis_element, gerst_unit
 from conftest import BROKEN_GERST, gerst_decomposition_count, kernel_basis
@@ -231,3 +238,55 @@ def test_gravity_dims_are_binomials():
             dims = gravity_dims(family(kind, n))
             assert dims.by_degree == {k: math.comb(n - 1, k - 1) if k else 0 for k in range(n + 1)}, (kind, n)
             assert dims.total == 2 ** (n - 1)
+
+
+def test_gerst_element_rejects_bad_keys():
+    p2 = family("path", 2)
+    # an unsorted key used to collide with its sorted twin, and a repeated
+    # vertex used to survive as a key that the derivation then mangled
+    for terms in ({(2, 1): 1, (1, 2): 1}, {(1, 1): 1}, {(3,): 1}, {frozenset({1}): 1}, {1: 1}):
+        with pytest.raises(ValueError):
+            GerstElement(p2, terms)
+    assert GerstElement(p2, {(1, 2): 1, (): 0, (1,): 2}).terms == {(1, 2): 1, (1,): 2}
+
+
+def test_one_connectivity_guard():
+    entry_points = [gravity_dims, gravity_generator, check_gravity_relations,
+                    free_weight2_basis, partial(check_axioms, GRGERST), betti]
+    for g in (EMPTY_GRAPH, make_graph([1, 2, 3], [(1, 2)])):
+        for fn in entry_points:
+            with pytest.raises(NotConnectedError):
+                fn(g)
+
+
+def _ints(values) -> bool:
+    return all(type(c) is int for c in values)
+
+
+def test_coefficients_are_ints(classes_upto_4):
+    for g in classes_upto_4:
+        for t in tubes(g):
+            gs, gt = reconnected_complement(g, t), induced(g, t)
+            for model in (GRCOM, GRGERST):
+                for a in model.basis(gs):
+                    for b in model.basis(gt):
+                        assert _ints(model.circ(g, t, {a: 1}, {b: 1}).values()), (g, t, a, b)
+        for a in GRGERST.basis(g):
+            s = tuple(u for u, i in zip(g.vertices, a) if i)
+            assert _ints(derivation(gerst_basis_element(g, s)).terms.values())
+        if g.n < 2:
+            continue
+        rels = [gravity_relations(g), hypercom_relations(g)]
+        assert _ints(x for r in rels for v in r.vectors for x in v)
+        for r1 in rels:
+            for r2 in rels:
+                assert _ints(x for row in relation_pairing(r1, r2) for x in row)
+
+
+def test_rational_coefficients_stay_exact():
+    g = family("path", 3)
+    x = GerstElement(g, {(1,): Fraction(1, 2), (2, 3): Fraction(-1, 3)})
+    assert (x + x - gerst_basis_element(g, (1,))).terms == {(2, 3): Fraction(-2, 3)}
+    dx = derivation(x)
+    assert dx.terms == {(1, 2): Fraction(-1, 2), (1, 3): Fraction(-1, 2), (1, 2, 3): Fraction(-1, 3)}
+    assert derivation(dx).is_zero()

@@ -1,0 +1,35 @@
+"""The benchmark's per-layer tracer (``perfbench/tracing.py``) wraps library
+functions by name and reads hit counts off the cached ones.  These tests load
+that file as it is and check that every name it lists still resolves, so a
+refactor that moves or renames a traced function fails here first."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    for layer, attrs in _tracing().TARGETS.items():
+        module = importlib.import_module(f"grakit.{layer}")
+        for attr in attrs:
+            if "." in attr:  # the tracer patches a method found in the class's own dict
+                cls_name, meth = attr.split(".")
+                assert callable(vars(getattr(module, cls_name)).get(meth)), (layer, attr)
+            else:
+                assert callable(getattr(module, attr, None)), (layer, attr)
+
+
+def test_cached_names_have_cache_info():
+    for layer, names in _tracing().CACHES.values():
+        module = importlib.import_module(f"grakit.{layer}")
+        for name in names:
+            assert callable(getattr(getattr(module, name), "cache_info", None)), (layer, name)
