@@ -51,9 +51,6 @@ class Graph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in _edge_set(self)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return labels_of(self, _adjacency(self)[_bit_index(self)[v]])
 
@@ -201,12 +198,8 @@ def connected_mask(g: Graph, mask: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def induced(g: Graph, subset: Iterable[int]) -> Graph:
-    """Induced subgraph on `subset`."""
-    vs = set(subset)
-    for v in vs:
-        if v not in _bit_index(g):
-            raise GraphError(f"{v} is not a vertex of the host graph")
-    return Graph(tuple(sorted(vs)), tuple(e for e in g.edges if e[0] in vs and e[1] in vs))
+    """Induced subgraph on `subset`: the subquotient with nothing reconnected away."""
+    return _reconnect(g, mask_of(g, subset), 0)
 
 
 def reconnected_complement(g: Graph, subset: Iterable[int]) -> Graph:

@@ -5,6 +5,8 @@ and induction maps between maximal nested sets and normal monomials.
 Monomials of the free structure with one generator per connected graph are
 encoded by augmented nested sets, a generator sitting at each node of the
 nested tree; the homological degree of a monomial is n minus its cardinality.
+The complex holds them as canonical mask tuples numbered in enumeration order,
+and each boundary as one integer column: rank and homology ignore basis order.
 A monomial is normal when none of its quadratic divisors, the two-node
 subquotients at its tree edges, is a leading weight-two monomial.  At the
 edge from a node labelled L to a child tube C labelled L′ (bit order is
@@ -21,7 +23,6 @@ relations a Gröbner basis, which by the PBW criterion proves Koszulness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactla import ChainComplex, QMatrix, _homology, _rank_exact, _rank_mod_p
@@ -37,7 +38,6 @@ from .tubings import (
     _reach,
     _tube_table,
     enumerate_nested,
-    lex_key,
 )
 
 SYSTEMS = ("grcom", "grav", "hyper")
@@ -56,9 +56,8 @@ def _separation_sign(label: int, x: int) -> int:
     return -1 if inv % 2 else 1
 
 
-@lru_cache(maxsize=200000)
-def boundary(ns: NestedSet) -> dict:
-    """Differential of a monomial: signed sum over all one-tube refinements.
+def _boundary(g: Graph, masks: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Differential of a monomial, on canonical mask tuples: {refinement: sign}.
 
     At a node with graph D and an inserted proper tube S, the local sign is
     -(-1)^(|V_D| - |S|) times the separation sign of S in D; the global sign
@@ -68,13 +67,14 @@ def boundary(ns: NestedSet) -> dict:
     and every earlier node of larger rank.  The convention is pinned by the
     squared differential vanishing; the complex it defines has the homology
     of a point.
+
+    No two insertions give one refinement, so no terms cancel: a lifted tube
+    meets only its own node's label, and meets it in the inserted S.
     """
-    g = ns.host
-    masks = ns.masks  # canonical (size, lex) order
     rank = _tube_table(g)[1]
     parent, label = _mask_tree(masks)
     degs = [m.bit_count() - 1 for m in label]
-    out: dict = {}
+    out = {}
     for i in range(len(masks)):
         if degs[i] == 0:
             continue
@@ -83,52 +83,48 @@ def boundary(ns: NestedSet) -> dict:
             k = x.bit_count()
             local = -((-1) ** (degs[i] + 1 - k)) * _separation_sign(label[i], x)
             passed = degs[i] - k + sum(degs[j] for j in range(i) if rank[masks[j]] > rank[lifted])
-            coeff = prefix * local * (-1) ** ((k - 1) * passed)
-            ns2 = NestedSet(g, tuple(sorted(masks + (lifted,), key=rank.__getitem__)))
-            out[ns2] = out.get(ns2, 0) + coeff
-            if not out[ns2]:
-                del out[ns2]
+            out[tuple(sorted(masks + (lifted,), key=rank.__getitem__))] = \
+                prefix * local * (-1) ** ((k - 1) * passed)
     return out
+
+
+@lru_cache(maxsize=1024)
+def boundary(ns: NestedSet) -> dict:
+    """Differential of a monomial as {refinement: sign} (see :func:`_boundary`)."""
+    return {NestedSet(ns.host, ms): c for ms, c in _boundary(ns.host, ns.masks).items()}
 
 
 @dataclass(frozen=True, eq=False)
 class CobarComplex:
-    """Chain model of a graph associahedron: degree-d basis indexed by the
-    augmented nested sets of cardinality n - d."""
+    """Chain model of a graph associahedron: ``cells[d]`` lists the augmented
+    nested sets of cardinality n - d as canonical mask tuples, in enumeration
+    order, and ``columns[d]`` their boundaries as {row in ``cells[d - 1]``:
+    coefficient}.  Rank and homology are blind to basis order."""
 
     host: Graph
-    basis: dict  # degree -> list[NestedSet], each list sorted ascending by lex order
+    cells: dict  # degree -> list[tuple[int, ...]]
+    columns: dict  # degree -> list[dict[int, int]], one per cell
 
     def __post_init__(self):
-        # squared-differential gate, checked sparsely on construction
-        for deg in sorted(self.basis):
-            for ns in self.basis[deg]:
+        # squared-differential gate: each column times the columns one degree down
+        for d, cols in self.columns.items():
+            for j, col in enumerate(cols):
                 acc: dict = {}
-                for m1, c1 in boundary(ns).items():
-                    for m2, c2 in boundary(m1).items():
-                        acc[m2] = acc.get(m2, 0) + c1 * c2
+                for r, c in col.items():
+                    for r2, c2 in self.columns[d - 1][r].items():
+                        acc[r2] = acc.get(r2, 0) + c * c2
                 if any(acc.values()):
-                    raise ValueError(f"squared differential is nonzero on {ns}")
+                    raise ValueError(f"squared differential is nonzero on cell {j} of degree {d}")
 
     @property
     def dims(self) -> dict:
-        return {d: len(b) for d, b in self.basis.items()}
-
-    def sparse_columns(self, k: int) -> list[dict]:
-        """Boundary from degree k to degree k-1 as integer columns
-        {row index in degree k-1: coefficient}, one per degree-k monomial."""
-        index = {ns: i for i, ns in enumerate(self.basis.get(k - 1, []))}
-        return [{index[m]: c for m, c in boundary(ns).items()}
-                for ns in self.basis.get(k, [])]
+        return {d: len(c) for d, c in self.cells.items()}
 
     def differential_matrix(self, k: int) -> QMatrix:
         """Matrix of the boundary from degree k to degree k-1."""
-        cols = self.sparse_columns(k)
-        rows = [[Fraction(0)] * len(cols) for _ in self.basis.get(k - 1, [])]
-        for j, col in enumerate(cols):
-            for i, c in col.items():
-                rows[i][j] = Fraction(c)
-        return QMatrix(len(rows), len(cols), tuple(tuple(r) for r in rows))
+        cols = self.columns.get(k, [])
+        rows = range(len(self.cells.get(k - 1, [])))
+        return QMatrix.from_rows([[c.get(i, 0) for c in cols] for i in rows], len(cols))
 
     def chain_complex(self) -> ChainComplex:
         dims = self.dims
@@ -137,36 +133,36 @@ class CobarComplex:
 
 
 def cobar_complex(g: Graph, cap: int = DEFAULT_CAP) -> CobarComplex:
-    """Build the complex over a connected host; degree of a monomial is
-    n minus its cardinality."""
-    _check_host(g, cap)
-    by_degree: dict = {}
+    """Build the complex over a connected host, numbering each cell once and
+    computing its boundary once, as an integer column over the cells below."""
+    cells: dict = {}
     for ns in enumerate_nested(g, augmented=True, cap=cap):
-        by_degree.setdefault(g.n - len(ns), []).append(ns)
-    for d in by_degree:
-        by_degree[d].sort(key=lex_key)
-    return CobarComplex(g, by_degree)
+        cells.setdefault(g.n - len(ns), []).append(ns.masks)
+    index = {ms: i for cs in cells.values() for i, ms in enumerate(cs)}
+    columns = {d: [{index[ms2]: c for ms2, c in _boundary(g, ms).items()} for ms in cs]
+               for d, cs in cells.items()}
+    return CobarComplex(g, cells, columns)
 
 
 def koszul_check(g: Graph, cap: int = DEFAULT_CAP) -> dict:
     """Homology dimensions of the complex; a point in degree zero certifies
     the quadratic presentation is as small as it can be.
 
-    The boundaries are ranked first modulo the prime 2^61 - 1 on sparse
-    integer columns.  A mod-p point proves the rational point: mod-p rank is
-    at most the rational rank, so mod-p homology bounds rational homology
-    from above in every degree, and both have the Euler characteristic of
-    the complex.  Any other mod-p answer takes exact rational ranks of the
-    same sparse columns instead.  Either way d∘d = 0 is checked exactly over
-    the integers when the complex is built.
+    The boundary columns are ranked first modulo the prime 2^61 - 1.  A
+    mod-p point proves the rational point: mod-p rank is at most the
+    rational rank, so mod-p homology bounds rational homology from above in
+    every degree, and both have the Euler characteristic of the complex.
+    Any other mod-p answer takes exact rational ranks of the same columns
+    instead.  Either way d∘d = 0 is checked exactly over the integers when
+    the complex is built.
     """
     cx = cobar_complex(g, cap)
     dims = cx.dims
     degrees = [k for k in dims if k - 1 in dims]
-    hom = _homology(dims, {k: _rank_mod_p(cx.sparse_columns(k)) for k in degrees})
+    hom = _homology(dims, {k: _rank_mod_p(cx.columns[k]) for k in degrees})
     if hom == {k: int(k == 0) for k in dims}:
         return hom
-    return _homology(dims, {k: _rank_exact(cx.sparse_columns(k)) for k in degrees})
+    return _homology(dims, {k: _rank_exact(cx.columns[k]) for k in degrees})
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +235,10 @@ def normal_monomials(g: Graph, system: str, cap: int = DEFAULT_CAP) -> list[Nest
     one-vertex graph, so its monomials are maximal nested sets."""
     _check_system(system)
     _check_host(g, cap)
-    _, rank, _, border = _tube_table(g)
-    full = ((1 << g.n) - 1,)
-    out = []
+    border = _tube_table(g)[3]
     # the walk of enumerate_nested, wrapping only the normal sets
-    for masks in _iter_nested_masks(g, g.n - 1 if system == "grcom" else None):
-        ms = tuple(sorted(masks, key=rank.__getitem__)) + full
-        if _normal(system, border, ms):
-            out.append(NestedSet(g, ms))
-    return out
+    return [NestedSet(g, ms) for ms in _iter_nested_masks(g, g.n - 1 if system == "grcom" else None)
+            if _normal(system, border, ms)]
 
 
 def normal_counts(g: Graph, system: str, cap: int = DEFAULT_CAP) -> list[int]:

@@ -78,10 +78,9 @@ def h_poly_from_descents(g: Graph, cap: int = DEFAULT_CAP) -> Polynomial:
     Their labels are single bits, and bit order agrees with label order, so
     a descent (child vertex below its parent's) compares label masks."""
     _check_host(g, cap)
-    full = (1 << g.n) - 1
     coeffs = [0] * g.n
     for masks in _iter_nested_masks(g, g.n - 1):
-        parent, label = _mask_tree(sorted(masks, key=int.bit_count) + [full])
+        parent, label = _mask_tree(masks)
         coeffs[sum(label[i] < label[j] for i, j in enumerate(parent[:-1]))] += 1
     return trim(coeffs)
 

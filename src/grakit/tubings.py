@@ -16,10 +16,11 @@ per-node functions; they go out through ``NestedSet.tubes``, ``to_json`` and
 One per-host table (:func:`_tube_table`) gives every tube mask its labels,
 canonical rank, ≺ key and neighbourhood; :func:`_compat_table` adds the
 compatible tubes, which the one backtracker (:func:`_iter_nested_masks`)
-walks to enumerate nested sets, and one rule (:func:`_mask_tree`) derives
-their trees.  ≺ on subsets is ascending order of the bit-reversed mask, so ◁
-(the sort key :func:`lex_key`) compares masks.  Face counts need no
-enumeration (see :func:`grakit.polycomb.f_vector`).
+walks to enumerate nested sets, yielding each as the canonical augmented
+mask tuple a :class:`NestedSet` holds, and one rule (:func:`_mask_tree`)
+derives their trees.  ≺ on subsets is ascending order of the bit-reversed
+mask, so ◁ (the sort key :func:`lex_key`) compares masks.  Face counts need
+no enumeration (see :func:`grakit.polycomb.f_vector`).
 """
 
 from __future__ import annotations
@@ -160,10 +161,10 @@ def is_nested(g: Graph, tube_family: Iterable[Iterable[int]]) -> bool:
 def _check_host(g: Graph, cap: int) -> None:
     if g.n == 0:
         raise NotConnectedError("host graph must be nonempty")
+    if g.n > cap:  # before the flood, which is quadratic on a long path
+        raise CapExceededError(f"{g.n} vertices exceeds cap {cap}")
     if not is_connected(g):
         raise NotConnectedError("host graph must be connected")
-    if g.n > cap:
-        raise CapExceededError(f"{g.n} vertices exceeds cap {cap}")
 
 
 def _proper_masks(g: Graph) -> list[int]:
@@ -187,17 +188,22 @@ def _compat_table(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int, ...]]:
     """Depth-first enumeration over compatible families of proper tube
-    masks, visiting tubes in ≺ order; the empty family comes first.
+    masks, visiting tubes in ≺ order; the empty family comes first.  Each
+    family is yielded augmented, in canonical rank order with the full set
+    last: exactly the ``masks`` of its :class:`NestedSet`.
 
-    With ``size``, only families of exactly that many tubes are yielded, and
-    a branch is cut once its remaining candidates cannot reach the size.
+    With ``size``, only families of exactly that many proper tubes are
+    yielded, and a branch is cut once its remaining candidates cannot reach
+    the size.
     """
     order, comp = _compat_table(g)
+    rank = _tube_table(g)[1]
+    full = ((1 << g.n) - 1,)
     need = size or 0
     chosen: list[int] = []
     stack = [(1 << len(order)) - 1]  # candidates left at each depth
     if not size:
-        yield ()
+        yield full
     while stack:
         a = stack[-1]
         if not a or len(chosen) + a.bit_count() < need:
@@ -210,9 +216,9 @@ def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int,
         j = low.bit_length() - 1
         chosen.append(order[j])
         if size is None:
-            yield tuple(chosen)
+            yield tuple(sorted(chosen, key=rank.__getitem__)) + full
         elif len(chosen) == size:
-            yield tuple(chosen)
+            yield tuple(sorted(chosen, key=rank.__getitem__)) + full
             chosen.pop()
             continue
         stack.append((a ^ low) & comp[j])
@@ -231,23 +237,17 @@ def enumerate_nested(
     only when ``include_empty`` is set.
     """
     _check_host(g, cap)
-    rank = _tube_table(g)[1]
-    full = ((1 << g.n) - 1,)
-    for masks in _iter_nested_masks(g):
-        ms = tuple(sorted(masks, key=rank.__getitem__))
+    for ms in _iter_nested_masks(g):
         if augmented:
-            yield NestedSet(g, ms + full)
-        elif ms or include_empty:
             yield NestedSet(g, ms)
+        elif len(ms) > 1 or include_empty:
+            yield NestedSet(g, ms[:-1])
 
 
 def maximal_nested(g: Graph, cap: int = DEFAULT_CAP) -> list[NestedSet]:
     """Augmented nested sets of the maximal cardinality |V|."""
     _check_host(g, cap)
-    rank = _tube_table(g)[1]
-    full = ((1 << g.n) - 1,)
-    return [NestedSet(g, tuple(sorted(masks, key=rank.__getitem__)) + full)
-            for masks in _iter_nested_masks(g, g.n - 1)]
+    return [NestedSet(g, ms) for ms in _iter_nested_masks(g, g.n - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -105,10 +105,11 @@ def test_criterion_04_known_families():
 
 def test_criterion_05_koszulness(classes_upto_6):
     with criterion(5, "cobar homology is a point for <= 6 vertices, complete:6 "
-                      "and path/cycle/star:7 (squared differential checked "
-                      "on each), < 10 min"):
+                      "and path/cycle/star:7 and :8 (squared differential "
+                      "checked on each), < 10 min"):
         t0 = time.monotonic()
-        reach = [family("complete", 6)] + [family(k, 7) for k in ("path", "cycle", "star")]
+        reach = [family("complete", 6)] + [family(k, n) for n in (7, 8)
+                                           for k in ("path", "cycle", "star")]
         for g in list(classes_upto_6) + reach:
             # building the complex runs the squared-differential gate
             assert koszul_check(g) == {k: int(k == 0) for k in range(g.n)}, g

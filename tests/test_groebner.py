@@ -7,6 +7,7 @@ import pytest
 
 from grakit import (
     CapExceededError,
+    CobarComplex,
     boundary,
     cobar_complex,
     descents,
@@ -34,7 +35,7 @@ from grakit import (
 )
 from grakit.groebner import SYSTEMS
 from grakit.polycomb import h_poly_from_f, trim
-from grakit.tubings import enumerate_nested, lex_key
+from grakit.tubings import NestedSet, enumerate_nested, lex_key
 from conftest import (
     grcom_relations,
     hyper_leading_tubes_by_order,
@@ -76,6 +77,35 @@ def test_cobar_point():
 def test_cobar_euler_characteristic(classes_upto_5):
     for g in classes_upto_5:
         assert cobar_complex(g).chain_complex().euler_characteristic() == 1
+
+
+def test_cobar_columns_match_public_boundary(classes_upto_5):
+    # each integer column, read through the row numbering, is the public
+    # boundary of its cell, also where bit order and label order disagree
+    rng = random.Random(59)
+    for g in list(classes_upto_5) + [relabelled(g, rng) for g in classes_upto_5]:
+        cx = cobar_complex(g)
+        for d, cells in cx.cells.items():
+            assert len(cx.columns[d]) == len(cells), (g, d)
+            below = cx.cells.get(d - 1, [])
+            for ms, col in zip(cells, cx.columns[d]):
+                assert {NestedSet(g, below[r]): c for r, c in col.items()} == \
+                    boundary(NestedSet(g, ms)), (g, ms)
+
+
+def test_cobar_gate_rejects_a_flipped_entry(classes_upto_4):
+    # negative control: negating one entry of a column of degree >= 2 leaves
+    # the squared differential nonzero, since every cell below has a boundary
+    for g in classes_upto_4:
+        cx = cobar_complex(g)
+        for d in (d for d in cx.columns if d >= 2):
+            columns = {k: [dict(c) for c in cols] for k, cols in cx.columns.items()}
+            CobarComplex(g, cx.cells, columns)  # the unflipped copy passes
+            col = columns[d][-1]
+            r = next(iter(col))
+            col[r] = -col[r]
+            with pytest.raises(ValueError, match="squared differential is nonzero"):
+                CobarComplex(g, cx.cells, columns)
 
 
 def test_koszul_check_examples():

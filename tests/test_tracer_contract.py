@@ -33,3 +33,22 @@ def test_cached_names_have_cache_info():
         module = importlib.import_module(f"grakit.{layer}")
         for name in names:
             assert callable(getattr(getattr(module, name), "cache_info", None)), (layer, name)
+
+
+def test_traced_cobar_walk():
+    # the benchmark counts nested sets off the traced enumeration, so the
+    # cobar build must still go through enumerate_nested and cobar_complex
+    import grakit.groebner as groebner
+    from grakit import family
+
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        hom = groebner.koszul_check(family("path", 3))
+    finally:
+        tracer.uninstall()
+    assert hom == {0: 1, 1: 0, 2: 0}
+    metrics = tracer.metrics()
+    assert metrics["tubings.enumerate_nested.calls"] == 1
+    assert metrics["tubings.enumerate_nested.sets"] == 11  # the faces of a pentagon
+    assert metrics["groebner.cobar_complex.calls"] == 1

@@ -53,6 +53,22 @@ def test_tubes_errors():
     assert len(tubes(family("path", 10), cap=10)) == 10 * 11 // 2
 
 
+def test_cap_refuses_before_the_flood(monkeypatch):
+    # the connectivity flood is quadratic on a long path, so an oversized
+    # host must be refused without reaching it
+    import grakit.graphs as graphs
+    import grakit.tubings as tubings
+
+    def flood(*args):
+        raise AssertionError("the cap check reached the connectivity flood")
+
+    monkeypatch.setattr(tubings, "is_connected", flood)
+    monkeypatch.setattr(graphs, "is_connected", flood)
+    monkeypatch.setattr(graphs, "component_masks", flood)
+    with pytest.raises(CapExceededError, match="2000 vertices exceeds cap 9"):
+        tubes(family("path", 2000))
+
+
 def test_tubes_against_powerset_oracle():
     from grakit import is_connected
 
