@@ -215,10 +215,9 @@ def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int,
         stack[-1] = a ^ low
         j = low.bit_length() - 1
         chosen.append(order[j])
-        if size is None:
+        if size is None or len(chosen) == size:
             yield tuple(sorted(chosen, key=rank.__getitem__)) + full
-        elif len(chosen) == size:
-            yield tuple(sorted(chosen, key=rank.__getitem__)) + full
+        if len(chosen) == size:
             chosen.pop()
             continue
         stack.append((a ^ low) & comp[j])
