@@ -215,9 +215,10 @@ def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int,
         stack[-1] = a ^ low
         j = low.bit_length() - 1
         chosen.append(order[j])
-        if size is None or len(chosen) == size:
+        if size is None:
             yield tuple(sorted(chosen, key=rank.__getitem__)) + full
-        if len(chosen) == size:
+        elif len(chosen) == size:
+            yield tuple(sorted(chosen, key=rank.__getitem__)) + full
             chosen.pop()
             continue
         stack.append((a ^ low) & comp[j])
