@@ -2,26 +2,41 @@
 
 Every command reads a graph (family shorthand like "path:3", inline JSON, or
 a path to a JSON file), runs one computation, and writes a machine-readable
-report.  Exit codes: 0 success, 1 input error, 2 a mathematical identity
-check failed.  The vertex cap defaults to the GRAKIT_CAP environment
-variable when set.
+report.  Reports are written key by key through one JSON encoder.  The
+nested-set listings (``nested``, ``maximal``) are streamed: their count comes
+first, from the face recursion, and each set is written as the walk yields
+it, so no listing is ever held whole; a walk that yields a different number
+of sets fails the identity check.  Every refusal comes before the first byte.
+Exit codes: 0 success, 1 input error, 2 a mathematical identity check failed.
+The vertex cap defaults to the GRAKIT_CAP environment variable when set.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable, Iterator
+from concurrent.futures import BrokenExecutor
+from functools import partial
 
 from . import engine, groebner, polycomb, tubings
 from .graphs import CapExceededError, Graph, GraphError, parse_graph
-from .tubings import DEFAULT_CAP, NestedSet, nested_set_from_json, nested_tree
+from .tubings import DEFAULT_CAP, NestedSet, _tube_table, nested_set_from_json, nested_tree
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_IDENTITY = 2
+
+
+# reports are never cyclic; the cycle check costs a quarter of a big report's time
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
+class IdentityCheckFailed(Exception):
+    """Two independent computations behind a report disagree."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,8 +77,30 @@ def _load_nested(g: Graph, spec: str, cap: int) -> NestedSet:
     return nested_set_from_json(g, data)
 
 
+def _write_json(report: dict, out) -> None:
+    """Write a report as one line of compact JSON, key by key.  A value that
+    is an iterator is a streamed list: it yields the JSON text of each item,
+    and each is written as it comes; the rest is written in one piece."""
+    text = "{"
+    for i, (key, value) in enumerate(report.items()):
+        text += ("," if i else "") + _ENCODER.encode(key) + ":"
+        if isinstance(value, Iterator):
+            out.write(text + "[")
+            first = next(value, None)
+            if first is not None:
+                out.write(first)
+                for item in value:
+                    out.write("," + item)
+            text = "]"
+        else:
+            text += _ENCODER.encode(value)
+    out.write(text + "}\n")
+
+
 def _emit(report: dict, fmt: str, csv_parts) -> None:
-    """Print a report; ``dot`` stands for json outside the tree command."""
+    """Print a report; ``dot`` stands for json outside the tree command.
+    json is written key by key, streamed lists item by item; text reads the
+    same writer's output back, so there is one encoding path."""
     if fmt == "csv":
         if csv_parts is None:
             raise GraphError("this command has no csv form")
@@ -72,12 +109,27 @@ def _emit(report: dict, fmt: str, csv_parts) -> None:
         for row in rows:
             print(",".join(str(x) for x in row))
     elif fmt == "text":
-        # a JSON round trip prints tuples as the lists the json form shows
-        for key, value in json.loads(json.dumps(report)).items():
+        # read back, the json form prints tuples as the lists it shows
+        buf = io.StringIO()
+        _write_json(report, buf)
+        for key, value in json.loads(buf.getvalue()).items():
             print(f"{key}: {value}")
     else:
-        # reports are never cyclic; the cycle check costs a quarter of a big report's time
-        print(json.dumps(report, indent=None, separators=(",", ":"), check_circular=False))
+        _write_json(report, sys.stdout)
+
+
+def _listing(g: Graph, sets: Iterable[NestedSet], count: int) -> Iterator[str]:
+    """The JSON text of each nested set as ``sets`` yields it, joined from
+    each tube's text, encoded once per host.  Raises IdentityCheckFailed
+    unless exactly ``count`` sets came, the count the report states."""
+    text = {m: _ENCODER.encode(t) for m, t in _tube_table(g)[0].items()}
+    written = 0
+    for ns in sets:
+        yield "[" + ",".join(map(text.__getitem__, ns.masks)) + "]"
+        written += 1
+    if written != count:
+        raise IdentityCheckFailed(f"the walk gave {written} nested sets, "
+                                  f"the face recursion {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +145,23 @@ def _cmd_tubes(args):
 
 def _cmd_nested(args):
     g = _load_graph(args.graph)
-    sets = [ns.tubes for ns in tubings.enumerate_nested(g, args.augmented, cap=args.cap)]
+    # the empty family is the one nested set not counted without augmentation
+    count = sum(polycomb.f_vector(g, cap=args.cap)) - (not args.augmented)
+    sets = tubings.enumerate_nested(g, args.augmented, cap=args.cap)
     report = {
         "graph": args.graph,
         "augmented": args.augmented,
-        "count": len(sets),
-        "nested_sets": sets,
+        "count": count,
+        "nested_sets": _listing(g, sets, count),
     }
     return report, EXIT_OK, None
 
 
 def _cmd_maximal(args):
     g = _load_graph(args.graph)
-    sets = [ns.tubes for ns in tubings.maximal_nested(g, cap=args.cap)]
-    report = {"graph": args.graph, "count": len(sets), "nested_sets": sets}
+    count = polycomb.f_vector(g, cap=args.cap)[0]
+    sets = tubings.maximal_nested(g, cap=args.cap)
+    report = {"graph": args.graph, "count": count, "nested_sets": _listing(g, sets, count)}
     return report, EXIT_OK, None
 
 
@@ -251,12 +306,22 @@ def _sweep_value(family: str, n: int, command: str, system: str, cap: int):
 
 def _cmd_sweep(args):
     lo, _, hi = args.range.partition("..")
-    ns = range(int(lo), int(hi or lo) + 1)
-    # threads beyond the rows or the cores could only wait
+    lo, hi = int(lo), int(hi or lo)
+    if hi < lo:
+        raise GraphError(f"range {args.range} is empty: {hi} is below {lo}")
+    ns = range(lo, hi + 1)
+    # processes beyond the rows or the cores could only wait
     jobs = max(1, min(args.jobs, len(ns), os.cpu_count() or 1))
-    worker = lambda n: _sweep_value(args.family, n, args.command, args.system, args.cap)
+    worker = partial(_sweep_value, args.family, command=args.command,
+                     system=args.system, cap=args.cap)
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # imported here: the pool's modules would add a tenth to every command's start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawned workers inherit no threads or state from this process
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             values = list(pool.map(worker, ns))
     else:
         values = [worker(n) for n in ns]
@@ -312,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--range", dict(required=True, help="like 2..6")),
         ("--command", dict(required=True, choices=SWEEP_COMMANDS)),
         ("--system", dict(default="hyper", choices=groebner.SYSTEMS)),
-        ("--jobs", dict(type=int, default=1, help="worker threads")),
+        ("--jobs", dict(type=int, default=1, help="worker processes")),
     ])
     return parser
 
@@ -326,7 +391,10 @@ def main(argv=None) -> int:
         report, code, csv_parts = args.fn(args)
         if report is not None:
             _emit(report, args.format, csv_parts)
-    except (GraphError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except IdentityCheckFailed as exc:
+        print(f"grakit: identity check failed: {exc}", file=sys.stderr)
+        return EXIT_IDENTITY
+    except (GraphError, ValueError, KeyError, OSError, BrokenExecutor) as exc:
         print(f"grakit: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return code

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .graphs import (
     CapExceededError,
@@ -87,8 +87,9 @@ def nested_set(host: Graph, tubes: Iterable[Iterable[int]]) -> NestedSet:
     if bad:
         raise NotConnectedError(f"{bad[0]} is not a tube of the host")
     masks = tuple(mask_of(host, t) for t in ts)
+    tset = _tube_table(host)[0]
     for (a, ma), (b, mb) in itertools.combinations(zip(ts, masks), 2):
-        if not _compatible(host, ma, mb):
+        if not _compatible(tset, ma, mb):
             raise ValueError(f"tubes {a} and {b} are not nested")
     return NestedSet(host, masks)
 
@@ -106,12 +107,18 @@ def nested_set_from_json(host: Graph, data: dict) -> NestedSet:
 # Tube enumeration and compatibility.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+TABLE_CACHE_SIZE = 64  # hosts whose per-host tables stay cached
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _tube_table(g: Graph) -> tuple[dict[int, Tube], dict[int, int], dict[int, int], dict[int, int]]:
     """The per-host tube table: every tube mask, the full set included,
     mapped to its label tuple (in the canonical (size, lexicographic)
     order), to its rank in that order, to its ≺ key, and to its
-    neighbourhood, the mask of the vertices outside it adjacent to it."""
+    neighbourhood, the mask of the vertices outside it adjacent to it.
+    The cache keeps ``TABLE_CACHE_SIZE`` hosts, not every host ever seen,
+    because a table is large: a 12-vertex complete host's holds four dicts
+    of 4,095 entries."""
     found = {m: labels_of(g, m) for m in range(1, 1 << g.n) if connected_mask(g, m)}
     labels = dict(sorted(found.items(), key=lambda mt: (len(mt[1]), mt[1])))
     adj = _adjacency(g)
@@ -124,13 +131,14 @@ def _is_tube(g: Graph, t: Iterable[int]) -> bool:
     return bool(t) and len(set(t)) == len(t) and mask_of(g, t) in _tube_table(g)[0]
 
 
-def _compatible(g: Graph, a: int, b: int) -> bool:
+def _compatible(tset: Container[int], a: int, b: int) -> bool:
+    """Whether tube masks a and b nest, in a host whose tube masks are ``tset``."""
     i = a & b
     if i == a or i == b:
         return True
     if i:
         return False
-    return (a | b) not in _tube_table(g)[0]
+    return (a | b) not in tset
 
 
 def tubes(g: Graph, cap: int = DEFAULT_CAP) -> list[Tube]:
@@ -153,8 +161,9 @@ def is_nested(g: Graph, tube_family: Iterable[Iterable[int]]) -> bool:
         if not _is_tube(g, t):
             raise NotConnectedError(f"{t} is not a tube of the host")
         masks.append(mask_of(g, t))
+    tset = _tube_table(g)[0]
     return all(
-        _compatible(g, a, b) for a, b in itertools.combinations(masks, 2)
+        _compatible(tset, a, b) for a, b in itertools.combinations(masks, 2)
     )
 
 
@@ -173,15 +182,17 @@ def _proper_masks(g: Graph) -> list[int]:
     return sorted((m for m in rev if m != (1 << g.n) - 1), key=rev.__getitem__)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _compat_table(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The per-host compatibility table: proper tube masks in ≺ order and
-    per-tube bitsets of the compatible tubes with larger index."""
+    per-tube bitsets of the compatible tubes with larger index.  Bounded
+    like :func:`_tube_table`, whose size it squares."""
     order = _proper_masks(g)
+    tset = _tube_table(g)[0]
     comp = [0] * len(order)
     for j in range(len(order)):
         for i in range(j + 1, len(order)):
-            if _compatible(g, order[i], order[j]):
+            if _compatible(tset, order[i], order[j]):
                 comp[j] |= 1 << i
     return tuple(order), tuple(comp)
 

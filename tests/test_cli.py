@@ -75,8 +75,8 @@ def test_sweep_jobs_clamped_to_rows_and_cores(capsys, monkeypatch):
 
     started = []
 
-    class RecordingPool:  # runs serially, so no thread is started
-        def __init__(self, max_workers):
+    class RecordingPool:  # runs serially, so no process is started
+        def __init__(self, max_workers, mp_context):
             started.append(max_workers)
 
         def __enter__(self):
@@ -88,7 +88,7 @@ def test_sweep_jobs_clamped_to_rows_and_cores(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     argv = ["sweep", "--family", "path", "--command", "vertex-count", "--jobs", "1000"]
     code, out, _ = run(capsys, *argv, "--range", "2..6")
@@ -100,6 +100,53 @@ def test_sweep_jobs_clamped_to_rows_and_cores(capsys, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one core
     code2, _, _ = run(capsys, *argv, "--range", "2..6")
     assert code == code2 == 0 and started == [3, 2]
+
+
+SWEEP = ["sweep", "--family", "path", "--command", "nested-count"]
+
+
+def test_sweep_process_pool_matches_serial(capsys):
+    code, serial, _ = run(capsys, *SWEEP, "--range", "2..6")
+    code2, pooled, _ = run(capsys, *SWEEP, "--range", "2..6", "--jobs", "2")
+    assert code == code2 == 0
+    assert pooled == serial
+    assert [line.split(",")[-1] for line in serial.splitlines()[1:]] == \
+        ["3", "11", "45", "197", "903"]
+
+
+def test_sweep_worker_refusal_is_one_line_error(capsys):
+    code, out, err = run(capsys, *SWEEP, "--range", "8..10", "--jobs", "2")
+    assert code == 1 and out == ""
+    assert err == "grakit: error: 10 vertices exceeds cap 9\n"
+
+
+def test_sweep_broken_pool_is_one_line_error(capsys, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    class DeadPool:
+        def __init__(self, max_workers, mp_context):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            raise BrokenProcessPool("a worker process died")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", DeadPool)
+    code, out, err = run(capsys, *SWEEP, "--range", "2..5", "--jobs", "2")
+    assert code == 1 and out == ""
+    assert err == "grakit: error: a worker process died\n"
+
+
+@pytest.mark.parametrize("span", ["5..3", "2..1"])
+def test_sweep_reversed_range_is_one_line_error(capsys, span):
+    code, out, err = run(capsys, *SWEEP, "--range", span)
+    assert code == 1 and out == ""
+    assert err.startswith("grakit: error: ") and err.count("\n") == 1
 
 
 def test_tree_dot(capsys):

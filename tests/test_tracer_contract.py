@@ -52,3 +52,28 @@ def test_traced_cobar_walk():
     assert metrics["tubings.enumerate_nested.calls"] == 1
     assert metrics["tubings.enumerate_nested.sets"] == 11  # the faces of a pentagon
     assert metrics["groebner.cobar_complex.calls"] == 1
+
+
+def test_traced_listings():
+    # the faces workload counts nested sets off the traced walk, so the CLI
+    # listings must stream through enumerate_nested and maximal_nested
+    import contextlib
+    import io
+
+    from grakit import family, f_vector
+    from grakit.cli import main
+
+    f = f_vector(family("path", 4))
+    for argv, walk, sets in ((["nested", "--augmented"], "enumerate_nested", sum(f)),
+                             (["maximal"], "maximal_nested", f[0])):
+        tracer = _tracing().Tracer()
+        tracer.install()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--graph", "path:4"])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        metrics = tracer.metrics()
+        assert metrics[f"tubings.{walk}.calls"] == 1, argv
+        assert metrics[f"tubings.{walk}.sets"] == sets, argv

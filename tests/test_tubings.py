@@ -390,3 +390,20 @@ def test_quadratic_divisor_identities(classes_upto_5):
                 assert reconnected_complement(delta, tube) == reconnected_complement(
                     induced(g, parent), set(parent) - set(tree.labels[parent])
                 )
+
+
+def test_table_caches_are_bounded():
+    from grakit.tubings import TABLE_CACHE_SIZE, _compat_table, _tube_table
+
+    g = family("cycle", 5)
+    before = [ns.tubes for ns in enumerate_nested(g, True)]
+    table, compat = _tube_table(g), _compat_table(g)
+    # more distinct hosts than the caches hold: paths shifted along the labels
+    for k in range(TABLE_CACHE_SIZE + 5):
+        h = make_graph([k + 100, k + 101, k + 102], [(k + 100, k + 101), (k + 101, k + 102)])
+        assert len(list(enumerate_nested(h, True))) == 11
+    for cached in (_tube_table, _compat_table):
+        assert cached.cache_info().currsize <= TABLE_CACHE_SIZE
+    assert _tube_table(g) is not table  # evicted and built again, equal
+    assert _tube_table(g) == table and _compat_table(g) == compat
+    assert [ns.tubes for ns in enumerate_nested(g, True)] == before
