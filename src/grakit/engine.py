@@ -3,13 +3,14 @@ derivation, gravity elements, weight-two relation spaces, and axiom checks.
 
 A reconnectad assigns a value to every connected graph together with
 structure maps composing data on a reconnected complement with data on the
-removed part.  The models here are the commutative reconnectads of a graded
-object X with one basis generator per listed degree: a basis element over a
-graph picks one generator per vertex, and every structure map merges
-per-vertex factors.  The Koszul sign of a merge counts the pairs of
-odd-degree factors that are out of ascending vertex order; this single
-convention fixes all signs, and is validated by the derivation squaring to
-zero and by the axiom suite.
+removed part.  The models here are the commutative reconnectads of two
+graded objects: GrCom, with one generator m of degree 0, and the square-zero
+model, with m and one generator b of degree 1.  A basis element over a graph
+is keyed by the ascending tuple of the vertices that carry b, and its degree
+is the length of that tuple.  A structure map concatenates the keys of its
+factors; the Koszul sign counts the pairs of that concatenation that are out
+of ascending vertex order.  This single convention fixes all signs, and is
+validated by the derivation squaring to zero and by the axiom suite.
 
 Coefficients are integers: every structure constant of these models is a
 sign, so nothing divides.  The arithmetic is whatever the caller's numbers
@@ -37,10 +38,9 @@ from .graphs import (
 )
 from .tubings import DEFAULT_CAP, NestedSet, _check_host, _proper_masks, _tube_table
 
-# An element of a graded-product model over a graph is a dict mapping
-# assignments (one generator index per vertex, in ascending vertex order)
-# to nonzero coefficients.
-Assignment = tuple[int, ...]
+# An element of either model over a graph is a dict mapping the ascending
+# tuple of b-carrying vertices to a nonzero coefficient.  GrCom has no b, so
+# its only key is ().
 Element = dict
 
 
@@ -60,42 +60,45 @@ def _inversion_sign(seq: list[int]) -> int:
 @dataclass(frozen=True)
 class GrComX:
     """Commutative reconnectad of a graded object with one generator in each
-    degree of ``generator_degrees``."""
+    degree of ``generator_degrees``: ``(0,)`` for GrCom and ``(0, 1)`` for
+    the square-zero model.  Keys are ascending tuples of the vertices that
+    carry the degree-1 generator."""
 
     generator_degrees: tuple[int, ...]
 
-    def basis(self, g: Graph) -> list[Assignment]:
-        return list(itertools.product(range(len(self.generator_degrees)), repeat=g.n))
+    def __post_init__(self):
+        if self.generator_degrees not in ((0,), (0, 1)):
+            raise ValueError(f"generator degrees {self.generator_degrees!r} are neither (0,) nor (0, 1)")
 
-    def degree(self, assignment: Assignment) -> int:
-        return sum(self.generator_degrees[i] for i in assignment)
+    def basis(self, g: Graph) -> list[tuple[int, ...]]:
+        """GrCom's one key (); every vertex subset for the square-zero model.
+        A generator's index is its degree, so the picked indices mark b."""
+        picks = itertools.product(range(len(self.generator_degrees)), repeat=g.n)
+        return [tuple(itertools.compress(g.vertices, p)) for p in picks]
 
-    def _merge_sign(self, seq: list[tuple[int, int]]) -> int:
-        """seq lists (position, degree) in concatenation order; the sign sorts
-        the odd-degree factors into the target vertex order."""
-        return _inversion_sign([p for p, d in seq if d % 2])
+    def degree(self, key: tuple[int, ...]) -> int:
+        return len(key)
+
+    def _merge_sign(self, seq: list[int]) -> int:
+        """seq lists the odd vertices in concatenation order; the sign sorts
+        them into ascending vertex order."""
+        return _inversion_sign(seq)
 
     def compose(self, g: Graph, v: tuple[int, ...], outer: Element, parts: list[Element]) -> Element:
         """Structure map at a vertex subset v: outer lives on the reconnected
         complement, one inner factor per component of the induced subgraph on
         v, components ordered by minimum vertex."""
-        vmask = mask_of(g, v)
-        blocks = [(1 << g.n) - 1 & ~vmask] + component_masks(g, vmask)
-        if len(blocks) != len(parts) + 1:
-            raise ValueError(f"expected {len(blocks) - 1} inner factors, got {len(parts)}")
-        positions = [[i for i in range(g.n) if b >> i & 1] for b in blocks]
-        degrees = self.generator_degrees
+        ncomp = len(component_masks(g, mask_of(g, v)))
+        if ncomp != len(parts):
+            raise ValueError(f"expected {ncomp} inner factors, got {len(parts)}")
         out: Element = {}
         for combo in itertools.product(outer.items(), *[p.items() for p in parts]):
-            key = [0] * g.n
             seq = []
             coeff = 1
-            for pos, (assignment, c) in zip(positions, combo):
+            for key, c in combo:
+                seq += key
                 coeff *= c
-                for p, i in zip(pos, assignment):
-                    key[p] = i
-                    seq.append((p, degrees[i]))
-            key = tuple(key)
+            key = tuple(sorted(seq))
             out[key] = out.get(key, 0) + self._merge_sign(seq) * coeff
         return {k: c for k, c in out.items() if c}
 
@@ -103,18 +106,13 @@ class GrComX:
         """Tube composition: x on the reconnected complement, y on the tube."""
         return self.compose(g, tuple(t), x, [y]) if t else self.compose(g, (), x, [])
 
-    def relabel(self, g: Graph, alpha: dict, x: Element) -> Element:
+    def relabel(self, alpha: dict, x: Element) -> Element:
         """Push an element along a vertex bijection, with the Koszul sign of
         permuting the odd factors."""
         out: Element = {}
-        for assignment, c in x.items():
-            pairs = sorted(
-                ((alpha[u], i) for u, i in zip(g.vertices, assignment)),
-            )
-            images = [alpha[u] for u, i in zip(g.vertices, assignment)
-                      if self.generator_degrees[i] % 2]
-            key = tuple(i for _, i in pairs)
-            out[key] = _inversion_sign(images) * c  # alpha is a bijection: keys never collide
+        for key, c in x.items():
+            images = [alpha[u] for u in key]
+            out[tuple(sorted(images))] = _inversion_sign(images) * c  # alpha is a bijection: keys never collide
         return out
 
     def unit(self) -> Element:
@@ -127,18 +125,18 @@ GRGERST = GrComX((0, 1))
 
 
 # ---------------------------------------------------------------------------
-# The square-zero model: generators m (degree 0) and b (degree 1) per vertex.
-# Elements are recorded by the set of vertices carrying b.
+# The square-zero model over a fixed host.
 # ---------------------------------------------------------------------------
 
 @dataclass
 class GerstElement:
-    """Combination of subset-indexed basis elements, with integer
-    coefficients or any exact numbers the caller passes.
+    """An element of the square-zero model bound to its host graph, with
+    integer coefficients or any exact numbers the caller passes.
 
-    ``terms`` maps the ascending tuple of b-carrying vertices to a nonzero
-    coefficient; zero coefficients are dropped.  The homological degree of
-    a basis element is the subset size.
+    ``terms`` is the model's element dict: it maps the ascending tuple of
+    b-carrying vertices to a nonzero coefficient; zero coefficients are
+    dropped and every key is checked against the host.  The homological
+    degree of a basis element is the subset size.
     """
 
     host: Graph
@@ -173,23 +171,6 @@ class GerstElement:
         )
 
 
-def _assignment_of(g: Graph, s: tuple[int, ...]) -> Assignment:
-    sset = set(s)
-    return tuple(1 if u in sset else 0 for u in g.vertices)
-
-
-def _subset_of(g: Graph, assignment: Assignment) -> tuple[int, ...]:
-    return tuple(u for u, i in zip(g.vertices, assignment) if i)
-
-
-def _to_element(x: GerstElement) -> Element:
-    return {_assignment_of(x.host, s): c for s, c in x.terms.items()}
-
-
-def _from_element(g: Graph, e: Element) -> GerstElement:
-    return GerstElement(g, {_subset_of(g, a): c for a, c in e.items()})
-
-
 def gerst_basis_element(g: Graph, s: tuple[int, ...]) -> GerstElement:
     return GerstElement(g, {tuple(sorted(s)): 1})
 
@@ -201,7 +182,7 @@ def gerst_unit(g: Graph) -> GerstElement:
 
 def gerst_circ(g: Graph, t: tuple[int, ...], x: GerstElement, y: GerstElement) -> GerstElement:
     """Tube composition in the square-zero model."""
-    return _from_element(g, GRGERST.circ(g, tuple(t), _to_element(x), _to_element(y)))
+    return GerstElement(g, GRGERST.circ(g, tuple(t), x.terms, y.terms))
 
 
 def gerst_relabel(alpha: dict, x: GerstElement) -> GerstElement:
@@ -211,8 +192,7 @@ def gerst_relabel(alpha: dict, x: GerstElement) -> GerstElement:
         tuple(sorted(alpha[u] for u in g.vertices)),
         tuple(sorted(tuple(sorted((alpha[a], alpha[b]))) for a, b in g.edges)),
     )
-    moved = GRGERST.relabel(g, alpha, _to_element(x))
-    return _from_element(target, moved)
+    return GerstElement(target, GRGERST.relabel(alpha, x.terms))
 
 
 def gerst_dimension(g: Graph) -> int:
@@ -482,12 +462,9 @@ def check_axioms(model: GrComX, g: Graph, cap: int = DEFAULT_CAP) -> AxiomReport
         for m in ts:
             t = labels[m]
             at = tuple(sorted(alpha[u] for u in t))
-            restr_out = {u: alpha[u] for u in star[m].vertices}
-            restr_in = {u: alpha[u] for u in t}
             for x, y in elements(star[m], sub[m]):
-                lhs = model.relabel(g, alpha, model.circ(g, t, x, y))
-                rhs = model.circ(g, at, model.relabel(star[m], restr_out, x),
-                                 model.relabel(sub[m], restr_in, y))
+                lhs = model.relabel(alpha, model.circ(g, t, x, y))
+                rhs = model.circ(g, at, model.relabel(alpha, x), model.relabel(alpha, y))
                 if lhs != rhs:
                     violations.append(("equivariance", f"alpha={alpha} tube {t} on {x},{y}"))
     return AxiomReport(g, tuple(violations))

@@ -87,8 +87,16 @@ def make_graph(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> Graph
     return Graph(tuple(sorted(vs)), tuple(sorted(canon)))
 
 
+# Largest n a family may have: far above every host any computation here can
+# afford, and small enough that building the edge list never costs more than
+# the refusal that follows it.
+FAMILY_MAX_N = 64
+
+
 def family(kind: str, n: int) -> Graph:
     """Named graph on labels 1..n: path, cycle, complete, or star (center 1)."""
+    if n > FAMILY_MAX_N:
+        raise GraphError(f"{kind}:{n} has more than {FAMILY_MAX_N} vertices")
     if kind == "path":
         if n < 0:
             raise GraphError("path requires n >= 0")

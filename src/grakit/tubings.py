@@ -238,20 +238,18 @@ def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int,
 def enumerate_nested(
     g: Graph,
     augmented: bool,
-    include_empty: bool = False,
     cap: int = DEFAULT_CAP,
 ) -> Iterator[NestedSet]:
     """Stream the nested set complex of g.
 
     With ``augmented`` the full vertex set is a member of every output.
-    Without it, only proper tubes appear and the empty family is emitted
-    only when ``include_empty`` is set.
+    Without it, only proper tubes appear and the empty family is left out.
     """
     _check_host(g, cap)
     for ms in _iter_nested_masks(g):
         if augmented:
             yield NestedSet(g, ms)
-        elif len(ms) > 1 or include_empty:
+        elif len(ms) > 1:
             yield NestedSet(g, ms[:-1])
 
 

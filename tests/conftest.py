@@ -407,8 +407,8 @@ class _DescendingMergeGrComX(GrComX):
     descending vertex order: a sign mutation that breaks the consecutive
     axiom."""
 
-    def _merge_sign(self, seq: list[tuple[int, int]]) -> int:
-        return _inversion_sign([-v for v, d in seq if d % 2])
+    def _merge_sign(self, seq: list[int]) -> int:
+        return _inversion_sign([-v for v in seq])
 
 
 BROKEN_GERST = _DescendingMergeGrComX((0, 1))

@@ -235,6 +235,24 @@ def test_koszul_check_complete6(capsys):
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["fvector", "--graph", "complete:99999999999999999999"],
+    ["sweep", "--family", "complete", "--range", "100000..100000", "--command", "vertex-count"],
+])
+def test_family_past_the_ceiling_is_one_line_error(capsys, monkeypatch, argv):
+    # complete:n hands make_graph a lazy edge stream, so a build that starts
+    # before the size check fails here at once instead of running for hours
+    import grakit.graphs as graphs
+
+    def build(*args):
+        pytest.fail("the family was built before its size was checked")
+
+    monkeypatch.setattr(graphs, "make_graph", build)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("grakit: error: ") and err.count("\n") == 1
+
+
 def test_bad_cap_env_is_one_line_error(capsys, monkeypatch):
     monkeypatch.setenv("GRAKIT_CAP", "abc")
     code, out, err = run(capsys, "fvector", "--graph", "path:3")

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -33,7 +35,7 @@ from grakit import (
     tubes,
 )
 from grakit.engine import gerst_basis_element, gerst_unit
-from conftest import BROKEN_GERST, gerst_decomposition_count, kernel_basis
+from conftest import BROKEN_GERST, gerst_decomposition_count, kernel_basis, relabelled
 
 
 def test_free_weight2_basis_counts():
@@ -51,14 +53,29 @@ def test_free_weight2_basis_order():
 
 def test_grcom_compose_is_basis_to_basis():
     g = family("path", 3)
-    outer = {(0,): Fraction(1)}         # on the remaining vertex 3
-    part = {(0, 0): Fraction(1)}        # on the tube {1, 2}
+    outer = {(): Fraction(1)}           # on the remaining vertex 3
+    part = {(): Fraction(1)}            # on the tube {1, 2}
     got = GrComX((0,)).compose(g, (1, 2), outer, [part])
-    assert got == {(0, 0, 0): Fraction(1)}
+    assert got == {(): Fraction(1)}
     # disconnected removal: one factor per component, ordered by minimum
-    got = GrComX((0,)).compose(g, (1, 3), {(0,): Fraction(1)},
-                               [{(0,): Fraction(1)}, {(0,): Fraction(1)}])
-    assert got == {(0, 0, 0): Fraction(1)}
+    got = GrComX((0,)).compose(g, (1, 3), {(): Fraction(1)},
+                               [{(): Fraction(1)}, {(): Fraction(1)}])
+    assert got == {(): Fraction(1)}
+    with pytest.raises(ValueError):
+        GrComX((0,)).compose(g, (1, 3), outer, [part])
+
+
+def test_grcom_compositions_are_scalars(classes_upto_4):
+    for g in classes_upto_4:
+        assert GRCOM.basis(g) == [()]
+        for t in tubes(g):
+            assert GRCOM.circ(g, t, {(): 2}, {(): -3}) == {(): -6}, (g, t)
+
+
+def test_grcomx_accepts_only_the_two_models():
+    for degrees in ((0, 2), (1,)):
+        with pytest.raises(ValueError):
+            GrComX(degrees)
 
 
 def test_unit_compositions_are_identity():
@@ -80,6 +97,38 @@ def test_gerst_compose_sign_example():
     outer2 = GerstElement(make_graph([1], []), {(1,): Fraction(1)})
     inner2 = GerstElement(make_graph([2], []), {(2,): Fraction(1)})
     assert gerst_circ(k2, (2,), outer2, inner2).terms == {(1, 2): Fraction(1)}
+
+
+def _swap_sign(seq) -> int:
+    """Oracle: bubble-sort the odd vertices and count the swaps."""
+    seq, swaps = list(seq), 0
+    for end in range(len(seq) - 1, 0, -1):
+        for i in range(end):
+            if seq[i] > seq[i + 1]:
+                seq[i], seq[i + 1] = seq[i + 1], seq[i]
+                swaps += 1
+    return -1 if swaps % 2 else 1
+
+
+def _subsets(vertices):
+    return itertools.chain.from_iterable(
+        itertools.combinations(vertices, r) for r in range(len(vertices) + 1))
+
+
+def test_gerst_circ_matches_swap_oracle(classes_upto_4):
+    # every tube and every pair of basis elements, on each class and on a
+    # relabelled copy whose labels are not 1..n
+    rng = random.Random(1104)
+    for g0 in classes_upto_4:
+        for g in (g0, relabelled(g0, rng)):
+            for t in tubes(g):
+                gs, gt = reconnected_complement(g, t), induced(g, t)
+                for sx in _subsets(gs.vertices):
+                    for sy in _subsets(gt.vertices):
+                        got = gerst_circ(g, t, gerst_basis_element(gs, sx),
+                                         gerst_basis_element(gt, sy))
+                        want = {tuple(sorted(sx + sy)): _swap_sign(sx + sy)}
+                        assert got.terms == want, (g, t, sx, sy)
 
 
 def test_derivation_matrix_examples():
@@ -271,8 +320,7 @@ def test_coefficients_are_ints(classes_upto_4):
                 for a in model.basis(gs):
                     for b in model.basis(gt):
                         assert _ints(model.circ(g, t, {a: 1}, {b: 1}).values()), (g, t, a, b)
-        for a in GRGERST.basis(g):
-            s = tuple(u for u, i in zip(g.vertices, a) if i)
+        for s in GRGERST.basis(g):
             assert _ints(derivation(gerst_basis_element(g, s)).terms.values())
         if g.n < 2:
             continue

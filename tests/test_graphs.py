@@ -82,6 +82,20 @@ def test_family_minimums():
         family("triangle", 3)
 
 
+def test_family_ceiling_refuses_before_building(monkeypatch):
+    import grakit.graphs as graphs
+
+    assert family("complete", graphs.FAMILY_MAX_N).n == graphs.FAMILY_MAX_N
+
+    def build(*args):
+        pytest.fail("the family was built before its size was checked")
+
+    monkeypatch.setattr(graphs, "make_graph", build)
+    for kind in ("path", "cycle", "complete", "star"):
+        with pytest.raises(GraphError, match="more than"):
+            family(kind, graphs.FAMILY_MAX_N + 1)
+
+
 def test_parse_graph():
     assert parse_graph("path:4") == family("path", 4)
     assert parse_graph({"vertices": [1, 2], "edges": [[1, 2]]}) == family("path", 2)
