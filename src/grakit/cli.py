@@ -20,7 +20,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from concurrent.futures import BrokenExecutor
-from functools import partial
+from functools import lru_cache, partial
 
 from . import engine, groebner, polycomb, tubings
 from .graphs import CapExceededError, Graph, GraphError, parse_graph
@@ -338,7 +338,11 @@ def _cmd_sweep(args):
 # Argument wiring.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use and shared after:
+    building it costs about a hundred times what a parse does.  Each parse
+    still returns a fresh namespace."""
     parser = _Parser(prog="grakit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

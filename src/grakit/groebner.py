@@ -7,6 +7,10 @@ encoded by augmented nested sets, a generator sitting at each node of the
 nested tree; the homological degree of a monomial is n minus its cardinality.
 The complex holds them as canonical mask tuples numbered in enumeration order,
 and each boundary as one integer column: rank and homology ignore basis order.
+The columns are built by tube deletion: a cell N′ and a proper tube T of it
+put N′, with a sign read off N′'s tree, in the column of N′ minus T.  Each
+such pair is exactly one nonzero boundary term, because no two insertions of
+a tube into N give one refinement, so deletion meets each term once.
 A monomial is normal when none of its quadratic divisors, the two-node
 subquotients at its tree edges, is a leading weight-two monomial.  At the
 edge from a node labelled L to a child tube C labelled L′ (bit order is
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .exactla import ChainComplex, QMatrix, _homology, _rank_exact, _rank_mod_p
 from .graphs import Graph, component_masks
@@ -47,29 +52,42 @@ SYSTEMS = ("grcom", "grav", "hyper")
 # The cobar-type complex: cellular chains of the graph associahedron.
 # ---------------------------------------------------------------------------
 
-def _separation_sign(label: int, x: int) -> int:
-    """Koszul sign separating the odd factors of x to the back of the
-    ascending tensor over a node label: parity of the pairs (t in x) below
-    (c in the label outside x)."""
-    rest = label & ~x
-    inv = sum((rest >> b).bit_count() for b in range(x.bit_length()) if x >> b & 1)
-    return -1 if inv % 2 else 1
+def _term_sign(before: int, deg: int, x: int, rest: int, passed: int) -> int:
+    """Sign of one boundary term, the one rule both routes to it share.
+
+    The term inserts a proper tube X (the bits x, k of them) at a node of
+    degree ``deg`` of the coarser cell, leaving ``rest`` of its label.
+    ``before`` is the sum of the degrees of the nodes preceding that node in
+    canonical order, ``passed`` the degree the lifted tube moves past on its
+    way into canonical position.  The sign is the Koszul prefix
+    (-1)^before, times the local sign -(-1)^(deg + 1 - k) times the
+    separation sign of X in the label, times (-1)^((k - 1) * passed).  The
+    separation sign moves the odd factors of X to the back of the ascending
+    tensor over the label: the parity of the pairs (v in X) below (c in
+    rest).  The convention is pinned by the squared differential vanishing;
+    the complex it defines has the homology of a point.
+    """
+    k = x.bit_count()
+    parity = before + deg + k + (k - 1) * passed
+    while x:
+        low = x & -x
+        x ^= low
+        parity += (rest & -low).bit_count()
+    return -1 if parity % 2 else 1
 
 
 def _boundary(g: Graph, masks: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Differential of a monomial, on canonical mask tuples: {refinement: sign}.
 
-    At a node with graph D and an inserted proper tube S, the local sign is
-    -(-1)^(|V_D| - |S|) times the separation sign of S in D; the global sign
-    combines the Koszul prefix over the nodes preceding the refined one in
-    canonical order with the reordering of the two new nodes into canonical
-    position: the lifted tube, smaller than its node, moves past that node
-    and every earlier node of larger rank.  The convention is pinned by the
-    squared differential vanishing; the complex it defines has the homology
-    of a point.
+    The per-cell route: it inserts every proper tube of every node graph and
+    sorts each refinement into canonical order.  It stands behind the public
+    :func:`boundary`, and it is the oracle the deletion build of
+    :func:`cobar_complex` is checked against.  The lifted tube, smaller than
+    its node, moves past that node and every earlier node of larger rank;
+    the sign is :func:`_term_sign`.
 
     No two insertions give one refinement, so no terms cancel: a lifted tube
-    meets only its own node's label, and meets it in the inserted S.
+    meets only its own node's label, and meets it in the inserted X.
     """
     rank = _tube_table(g)[1]
     parent, label = _mask_tree(masks)
@@ -78,13 +96,12 @@ def _boundary(g: Graph, masks: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     for i in range(len(masks)):
         if degs[i] == 0:
             continue
-        prefix = -1 if sum(degs[:i]) % 2 else 1
+        before = sum(degs[:i])
         for x, lifted in _insertions(g, label[i], _children(masks, parent, i)):
-            k = x.bit_count()
-            local = -((-1) ** (degs[i] + 1 - k)) * _separation_sign(label[i], x)
-            passed = degs[i] - k + sum(degs[j] for j in range(i) if rank[masks[j]] > rank[lifted])
+            passed = degs[i] - x.bit_count() + sum(
+                degs[j] for j in range(i) if rank[masks[j]] > rank[lifted])
             out[tuple(sorted(masks + (lifted,), key=rank.__getitem__))] = \
-                prefix * local * (-1) ** ((k - 1) * passed)
+                _term_sign(before, degs[i], x, label[i] & ~x, passed)
     return out
 
 
@@ -134,13 +151,42 @@ class CobarComplex:
 
 def cobar_complex(g: Graph, cap: int = DEFAULT_CAP) -> CobarComplex:
     """Build the complex over a connected host, numbering each cell once and
-    computing its boundary once, as an integer column over the cells below."""
+    filling the integer columns from the finer side, by tube deletion.
+
+    Every term of a boundary pairs a cell N with a refinement N′ = N ∪ {T}.
+    So each cell N′ and each proper tube T of N′, at index t, give the entry
+    at row N′ of the column of N = N′ minus T, a slice of N′'s canonical
+    tuple and so canonical itself.  In N′'s mask tree T's label is the
+    inserted X, with k vertices, and T's parent p is the refined node, whose
+    degree in N is degs[p] + k.  Masks are in rank order, so the nodes of N
+    before the refined one are those of N′ before p but T, and the nodes the
+    lifted tube moves past are indices t + 1 … p - 1.  With ``pre`` the
+    prefix sums of N′'s degrees, the sign is :func:`_term_sign` with
+    before = pre[p] - degs[t] and passed = degs[p] + pre[p] - pre[t + 1].
+
+    Each pair (N′, T) is exactly one nonzero term.  No two insertions give
+    one refinement, since a lifted tube meets only its own node's label and
+    meets it in the inserted X, so deletion meets each term once; and every
+    T is the lift of its label X, a proper tube of the refined node's graph.
+    """
     cells: dict = {}
     for ns in enumerate_nested(g, augmented=True, cap=cap):
         cells.setdefault(g.n - len(ns), []).append(ns.masks)
     index = {ms: i for cs in cells.values() for i, ms in enumerate(cs)}
-    columns = {d: [{index[ms2]: c for ms2, c in _boundary(g, ms).items()} for ms in cs]
-               for d, cs in cells.items()}
+    columns = {d: [{} for _ in cs] for d, cs in cells.items()}
+    for d, cs in cells.items():
+        if d + 1 not in cells:
+            continue
+        up = columns[d + 1]
+        for row, mp in enumerate(cs):
+            parent, label = _mask_tree(mp)
+            degs = [m.bit_count() - 1 for m in label]
+            pre = list(accumulate(degs, initial=0))
+            for t in range(len(mp) - 1):
+                p = parent[t]
+                up[index[mp[:t] + mp[t + 1:]]][row] = _term_sign(
+                    pre[p] - degs[t], degs[p] + degs[t] + 1, label[t], label[p],
+                    degs[p] + pre[p] - pre[t + 1])
     return CobarComplex(g, cells, columns)
 
 

@@ -323,7 +323,7 @@ def _node(ns: NestedSet, t: Iterable[int]) -> tuple[int, list, list[int]]:
     return ns.tubes.index(t), parent, label
 
 
-@lru_cache(maxsize=100000)
+@lru_cache(maxsize=1024)
 def nested_tree(ns: NestedSet) -> NestedTree:
     """Tree of an augmented nested set under the cover relation of inclusion,
     keyed by label tuples; each node's children come out in canonical order.

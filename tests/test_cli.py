@@ -216,6 +216,25 @@ def test_cap_and_env(capsys, monkeypatch):
     assert run(capsys, "fvector", "--graph", "path:4")[0] == 0
 
 
+def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # main parses with one parser per process; each call must see only its own flags
+    monkeypatch.delenv("GRAKIT_CAP", raising=False)
+    code, out, _ = run(capsys, "nested", "--augmented", "--graph", "path:3")
+    assert code == 0 and json.loads(out)["count"] == 11
+    code, out, _ = run(capsys, "nested", "--graph", "path:3")
+    assert code == 0 and json.loads(out)["count"] == 10
+    with pytest.raises(SystemExit) as exc:
+        main(["fvector"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    code, out, _ = run(capsys, "fvector", "--graph", "path:3")
+    assert code == 0 and json.loads(out)["f"] == [5, 5, 1]
+    monkeypatch.setenv("GRAKIT_CAP", "2")
+    code, out, err = run(capsys, "fvector", "--graph", "path:3")
+    assert code == 1 and out == ""
+    assert err.startswith("grakit: error: ") and err.count("\n") == 1
+
+
 def test_graph_file_input(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text('{"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]]}')

@@ -80,10 +80,13 @@ def test_cobar_euler_characteristic(classes_upto_5):
 
 
 def test_cobar_columns_match_public_boundary(classes_upto_5):
-    # each integer column, read through the row numbering, is the public
-    # boundary of its cell, also where bit order and label order disagree
+    # each integer column, built by tube deletion and read through the row
+    # numbering, is the public boundary of its cell, computed by insertion,
+    # also where bit order and label order disagree; the bigger hosts have
+    # nodes with several children and labels of three or more vertices
     rng = random.Random(59)
-    for g in list(classes_upto_5) + [relabelled(g, rng) for g in classes_upto_5]:
+    hosts = list(classes_upto_5) + [family("star", 7), family("cycle", 6), family("complete", 6)]
+    for g in hosts + [relabelled(g, rng) for g in hosts]:
         cx = cobar_complex(g)
         for d, cells in cx.cells.items():
             assert len(cx.columns[d]) == len(cells), (g, d)

@@ -195,6 +195,13 @@ def test_nested_tree_chain_and_singleton():
         nested_tree(nested_set(p3, [[1]]))
 
 
+def test_nested_tree_cache_is_bounded():
+    # one label tree per nested set asked about, so the bound is that of boundary
+    from grakit import boundary
+
+    assert nested_tree.cache_info().maxsize == boundary.cache_info().maxsize == 1024
+
+
 def test_nested_tree_dot():
     g = make_graph([1, 2, 3, 4], [[1, 2], [2, 3], [3, 4]])
     ns = nested_set(g, [[3, 4], [1, 2, 3, 4]])
