@@ -1,9 +1,9 @@
 """grakit: exact combinatorics and algebra of graph associahedra.
 
 Tubes and nested sets of finite simple graphs, face and h-vectors with toric
-Betti numbers, exact rational linear algebra, the graded commutative models
-of reconnectads with their gravity and hypercommutative relation calculus,
-and the cellular chain complex certifying the quadratic presentations.
+Betti numbers, exact sparse ranks and chain complexes, the graded commutative
+models of reconnectads with their gravity and hypercommutative relation
+calculus, and the cellular chain complex certifying the quadratic presentations.
 """
 
 from .engine import (

@@ -54,27 +54,31 @@ def _default_cap() -> int:
         raise ValueError(f"GRAKIT_CAP must be an integer, got {env!r}") from None
 
 
-def _load_graph(spec: str) -> Graph:
+def _read_json(spec: str, shorthand: bool = False):
+    """The JSON value of ``spec``: inline JSON, or the JSON in the file it
+    names.  With ``shorthand``, other text is returned as it is, for the
+    caller to parse."""
     text = spec.strip()
-    if text.startswith("{"):
-        return parse_graph(json.loads(text))
-    if os.path.exists(text):
-        with open(text) as fh:
-            return parse_graph(json.load(fh))
-    return parse_graph(text)
+    try:
+        if text.startswith("{"):
+            return json.loads(text)
+        if os.path.exists(text):
+            with open(text) as fh:
+                return json.load(fh)
+        return text if shorthand else json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
+def _load_graph(spec: str) -> Graph:
+    return parse_graph(_read_json(spec, shorthand=True))
 
 
 def _load_nested(g: Graph, spec: str, cap: int) -> NestedSet:
     # validating a nested set builds the host's tube table over all 2^n subsets
     if g.n > cap:
         raise CapExceededError(f"{g.n} vertices exceeds cap {cap}")
-    text = spec.strip()
-    if os.path.exists(text) and not text.startswith("{"):
-        with open(text) as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(text)
-    return nested_set_from_json(g, data)
+    return nested_set_from_json(g, _read_json(spec))
 
 
 def _write_json(report: dict, out) -> None:

@@ -1,5 +1,5 @@
-"""Exact linear algebra: sparse rank over GF(p) or ℚ, and the homology of
-chain complexes.
+"""Exact linear algebra: sparse rank over GF(p) or ℚ, and chain complexes
+held in sparse columns, with their homology.
 
 No floating point anywhere.  Every rank goes through one sparse
 column-elimination routine, ``_eliminate``, on columns given as
@@ -7,7 +7,9 @@ column-elimination routine, ``_eliminate``, on columns given as
 integers and Fractions appear only after scaling a pivot not led by ±1.
 Modulo the prime p = 2^61 - 1 (``_rank_mod_p``), integer entries are
 reduced mod p.  The dense ``rank(QMatrix)`` ranks the matrix's columns by
-the exact route.
+the exact route.  A :class:`ChainComplex` holds each differential as such
+columns and checks d∘d = 0 exactly when built; :func:`homology_dims` reads
+its homology off exact ranks of them.
 
 The mod-p rank never exceeds the rank over the rationals: a minor that is
 nonzero mod p is a nonzero integer.  So for an integer chain complex,
@@ -20,14 +22,15 @@ nothing, and the caller must fall back to the exact rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Immutable matrix with exact rational entries (row-major tuples)."""
+    """Immutable dense matrix with exact rational entries (row-major tuples),
+    the form ``rank`` and the engine's derivation matrix take."""
 
     rows: int
     cols: int
@@ -45,45 +48,6 @@ class QMatrix:
         elif cols is None:
             cols = 0
         return QMatrix(len(data), cols, data)
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "QMatrix":
-        return QMatrix(rows, cols, tuple((Fraction(0),) * cols for _ in range(rows)))
-
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix(n, n, tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        ))
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.entries[ij[0]][ij[1]]
-
-    def transpose(self) -> "QMatrix":
-        if not self.entries:
-            return QMatrix(self.cols, self.rows, tuple(() for _ in range(self.cols)))
-        return QMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        zero = Fraction(0)
-        out = []
-        for row in self.entries:
-            acc = [zero] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    brow = other.entries[k]
-                    acc = [x + a * b for x, b in zip(acc, brow)]
-            out.append(tuple(acc))
-        return QMatrix(self.rows, other.cols, tuple(out))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def to_json(self) -> list[list[str]]:
-        """Entries as "p/q" strings, for debugging dumps."""
-        return [[f"{x.numerator}/{x.denominator}" for x in row] for row in self.entries]
 
 
 _P = (1 << 61) - 1
@@ -150,38 +114,38 @@ def rank(m: QMatrix) -> int:
 class ChainComplex:
     """Finite chain complex over the rationals with differential of degree -1.
 
-    ``dims[k]`` is the dimension in degree k for k in the contiguous range
-    ``degrees``; ``differentials[k]`` maps degree k to degree k-1 and must
-    have shape dims[k-1] x dims[k].  d∘d = 0 is verified on construction.
+    ``dims[k]`` is the dimension in degree k, over a contiguous range of
+    degrees.  ``columns[k]`` holds the boundary of each cell of degree k as
+    one {row in degree k-1: entry} dict, entries ints or Fractions; a degree
+    with no entry in ``columns`` has the zero differential.  The shapes and
+    d∘d = 0 are checked exactly on construction.
     """
 
     dims: dict
-    differentials: dict
+    columns: dict
 
     def __post_init__(self):
         degs = sorted(self.dims)
         if degs and degs != list(range(degs[0], degs[-1] + 1)):
             raise ValueError("degrees must form a contiguous range")
-        for k, d in self.differentials.items():
-            lower = self.dims.get(k - 1, 0)
-            if d.rows != lower or d.cols != self.dims.get(k, 0):
-                raise ValueError(f"differential at degree {k} has shape "
-                                 f"{d.rows}x{d.cols}, expected {lower}x{self.dims.get(k, 0)}")
-        for k in degs:
-            d_k = self.differentials.get(k)
-            d_next = self.differentials.get(k + 1)
-            if d_k is not None and d_next is not None and not (d_k @ d_next).is_zero():
-                raise ValueError(f"d∘d != 0 between degrees {k + 1} and {k - 1}")
-
-    @property
-    def degrees(self) -> list[int]:
-        return sorted(self.dims)
-
-    def differential(self, k: int) -> QMatrix:
-        d = self.differentials.get(k)
-        if d is None:
-            d = QMatrix.zero(self.dims.get(k - 1, 0), self.dims.get(k, 0))
-        return d
+        for k, cols in self.columns.items():
+            want, lower = self.dims.get(k, 0), self.dims.get(k - 1, 0)
+            if len(cols) != want:
+                raise ValueError(f"degree {k} has {len(cols)} columns, expected {want}")
+            if any(col and (min(col) < 0 or max(col) >= lower) for col in cols):
+                raise ValueError(f"a column of degree {k} has a row outside 0..{lower - 1}")
+        # squared-differential gate: each column times the columns one degree down
+        for k, cols in self.columns.items():
+            below = self.columns.get(k - 1)
+            if below is None:
+                continue
+            for j, col in enumerate(cols):
+                acc: dict = {}
+                for r, c in col.items():
+                    for r2, c2 in below[r].items():
+                        acc[r2] = acc.get(r2, 0) + c * c2
+                if any(acc.values()):
+                    raise ValueError(f"squared differential is nonzero on cell {j} of degree {k}")
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * dim for k, dim in self.dims.items())
@@ -193,5 +157,5 @@ def _homology(dims: dict, ranks: dict) -> dict[int, int]:
 
 
 def homology_dims(c: ChainComplex) -> dict[int, int]:
-    """dim H_k = dim ker d_k - rank d_{k+1}, per degree of the complex."""
-    return _homology(c.dims, {k: rank(c.differential(k)) for k in c.dims})
+    """dim H_k = dim ker d_k - rank d_{k+1}, by exact ranks of the columns."""
+    return _homology(c.dims, {k: _rank_exact(cols) for k, cols in c.columns.items()})

@@ -137,15 +137,17 @@ def parse_graph(spec: str | dict) -> Graph:
 # of V are ints.  All derived structure is cached per graph value.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+GRAPH_CACHE_SIZE = 1024  # graphs whose bit index, edge set and adjacency stay cached
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _bit_index(g: Graph) -> dict:
     return {v: i for i, v in enumerate(g.vertices)}
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _edge_set(g: Graph) -> frozenset:
     return frozenset(g.edges)
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _adjacency(g: Graph) -> tuple[int, ...]:
     """Neighbor mask per bit position."""
     idx = _bit_index(g)

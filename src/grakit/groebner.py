@@ -5,8 +5,10 @@ and induction maps between maximal nested sets and normal monomials.
 Monomials of the free structure with one generator per connected graph are
 encoded by augmented nested sets, a generator sitting at each node of the
 nested tree; the homological degree of a monomial is n minus its cardinality.
-The complex holds them as canonical mask tuples numbered in enumeration order,
-and each boundary as one integer column: rank and homology ignore basis order.
+The complex is an :class:`grakit.exactla.ChainComplex`, which checks d∘d = 0
+exactly: it holds the monomials as canonical mask tuples numbered in
+enumeration order, and each boundary as one sparse integer column, since
+rank and homology ignore basis order.
 The columns are built by tube deletion: a cell N′ and a proper tube T of it
 put N′, with a sign read off N′'s tree, in the column of N′ minus T.  Each
 such pair is exactly one nonzero boundary term, because no two insertions of
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .exactla import ChainComplex, QMatrix, _homology, _rank_exact, _rank_mod_p
+from .exactla import ChainComplex, QMatrix, _homology, _rank_mod_p, homology_dims
 from .graphs import Graph, component_masks
 from .tubings import (
     DEFAULT_CAP,
@@ -112,41 +114,21 @@ def boundary(ns: NestedSet) -> dict:
 
 
 @dataclass(frozen=True, eq=False)
-class CobarComplex:
-    """Chain model of a graph associahedron: ``cells[d]`` lists the augmented
-    nested sets of cardinality n - d as canonical mask tuples, in enumeration
-    order, and ``columns[d]`` their boundaries as {row in ``cells[d - 1]``:
+class CobarComplex(ChainComplex):
+    """Chain model of a graph associahedron over a connected ``host``:
+    ``cells[d]`` lists the augmented nested sets of cardinality n - d as
+    canonical mask tuples, in enumeration order, and the inherited
+    ``columns[d]`` their boundaries as {row in ``cells[d - 1]``:
     coefficient}.  Rank and homology are blind to basis order."""
 
     host: Graph
     cells: dict  # degree -> list[tuple[int, ...]]
-    columns: dict  # degree -> list[dict[int, int]], one per cell
-
-    def __post_init__(self):
-        # squared-differential gate: each column times the columns one degree down
-        for d, cols in self.columns.items():
-            for j, col in enumerate(cols):
-                acc: dict = {}
-                for r, c in col.items():
-                    for r2, c2 in self.columns[d - 1][r].items():
-                        acc[r2] = acc.get(r2, 0) + c * c2
-                if any(acc.values()):
-                    raise ValueError(f"squared differential is nonzero on cell {j} of degree {d}")
-
-    @property
-    def dims(self) -> dict:
-        return {d: len(c) for d, c in self.cells.items()}
 
     def differential_matrix(self, k: int) -> QMatrix:
-        """Matrix of the boundary from degree k to degree k-1."""
-        cols = self.columns.get(k, [])
-        rows = range(len(self.cells.get(k - 1, [])))
+        """Dense matrix of the boundary from degree k to degree k-1."""
+        cols = self.columns.get(k) or [{}] * self.dims.get(k, 0)
+        rows = range(self.dims.get(k - 1, 0))
         return QMatrix.from_rows([[c.get(i, 0) for c in cols] for i in rows], len(cols))
-
-    def chain_complex(self) -> ChainComplex:
-        dims = self.dims
-        diffs = {k: self.differential_matrix(k) for k in dims if k - 1 in dims}
-        return ChainComplex(dims, diffs)
 
 
 def cobar_complex(g: Graph, cap: int = DEFAULT_CAP) -> CobarComplex:
@@ -173,7 +155,7 @@ def cobar_complex(g: Graph, cap: int = DEFAULT_CAP) -> CobarComplex:
     for ns in enumerate_nested(g, augmented=True, cap=cap):
         cells.setdefault(g.n - len(ns), []).append(ns.masks)
     index = {ms: i for cs in cells.values() for i, ms in enumerate(cs)}
-    columns = {d: [{} for _ in cs] for d, cs in cells.items()}
+    columns = {d: [{} for _ in cs] for d, cs in cells.items() if d - 1 in cells}
     for d, cs in cells.items():
         if d + 1 not in cells:
             continue
@@ -187,28 +169,23 @@ def cobar_complex(g: Graph, cap: int = DEFAULT_CAP) -> CobarComplex:
                 up[index[mp[:t] + mp[t + 1:]]][row] = _term_sign(
                     pre[p] - degs[t], degs[p] + degs[t] + 1, label[t], label[p],
                     degs[p] + pre[p] - pre[t + 1])
-    return CobarComplex(g, cells, columns)
+    return CobarComplex({d: len(cs) for d, cs in cells.items()}, columns, g, cells)
 
 
 def koszul_check(g: Graph, cap: int = DEFAULT_CAP) -> dict:
     """Homology dimensions of the complex; a point in degree zero certifies
     the quadratic presentation is as small as it can be.
 
-    The boundary columns are ranked first modulo the prime 2^61 - 1.  A
-    mod-p point proves the rational point: mod-p rank is at most the
-    rational rank, so mod-p homology bounds rational homology from above in
-    every degree, and both have the Euler characteristic of the complex.
-    Any other mod-p answer takes exact rational ranks of the same columns
-    instead.  Either way d∘d = 0 is checked exactly over the integers when
-    the complex is built.
+    The boundary columns are ranked first modulo the prime 2^61 - 1; a
+    mod-p point is a rational point (see :mod:`grakit.exactla`).  Any other
+    mod-p answer takes :func:`homology_dims`, exact ranks of the same
+    columns.  Either way d∘d = 0 is checked exactly when the complex is built.
     """
     cx = cobar_complex(g, cap)
-    dims = cx.dims
-    degrees = [k for k in dims if k - 1 in dims]
-    hom = _homology(dims, {k: _rank_mod_p(cx.columns[k]) for k in degrees})
-    if hom == {k: int(k == 0) for k in dims}:
+    hom = _homology(cx.dims, {k: _rank_mod_p(cols) for k, cols in cx.columns.items()})
+    if hom == {k: int(k == 0) for k in cx.dims}:
         return hom
-    return _homology(dims, {k: _rank_exact(cx.columns[k]) for k in degrees})
+    return homology_dims(cx)
 
 
 # ---------------------------------------------------------------------------

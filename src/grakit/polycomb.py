@@ -9,6 +9,8 @@ the polytope.  All arithmetic is exact.
 
 from __future__ import annotations
 
+from math import comb
+
 from .graphs import Graph, component_masks
 from .tubings import DEFAULT_CAP, _check_host, _iter_nested_masks, _mask_tree, _tube_table
 
@@ -57,20 +59,11 @@ def f_vector(g: Graph, cap: int = DEFAULT_CAP) -> list[int]:
 
 
 def h_poly_from_f(f: list[int]) -> Polynomial:
-    """Coefficients of sum_i f_i (t-1)^i."""
+    """Coefficients of sum_i f_i (t-1)^i: h_j = sum_i f_i C(i, j) (-1)^(i-j)."""
     if not f:
         raise ValueError("f-vector must be nonempty")
-    out = [0] * len(f)
-    # (t-1)^i expanded by Pascal recursion
-    binom = [1]
-    for i, fi in enumerate(f):
-        for j, c in enumerate(binom):
-            out[j] += fi * c * (-1) ** (i - j)
-        nxt = [1] * (len(binom) + 1)
-        for j in range(1, len(binom)):
-            nxt[j] = binom[j - 1] + binom[j]
-        binom = nxt
-    return trim(out)
+    return trim([sum(fi * comb(i, j) * (-1) ** (i - j) for i, fi in enumerate(f[j:], j))
+                 for j in range(len(f))])
 
 
 def h_poly_from_descents(g: Graph, cap: int = DEFAULT_CAP) -> Polynomial:

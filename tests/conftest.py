@@ -332,6 +332,46 @@ def oracle_is_normal(ns: NestedSet, system: str) -> bool:
 # Dense linear-algebra oracles for the library's sparse rank.
 # ---------------------------------------------------------------------------
 
+def zero_matrix(rows: int, cols: int) -> QMatrix:
+    return QMatrix(rows, cols, tuple((Fraction(0),) * cols for _ in range(rows)))
+
+
+def identity_matrix(n: int) -> QMatrix:
+    return QMatrix(n, n, tuple(
+        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
+    ))
+
+
+def transpose(m: QMatrix) -> QMatrix:
+    if not m.entries:
+        return QMatrix(m.cols, m.rows, tuple(() for _ in range(m.cols)))
+    return QMatrix(m.cols, m.rows, tuple(zip(*m.entries)))
+
+
+def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
+    """The dense product a @ b."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in matrix product")
+    zero = Fraction(0)
+    out = []
+    for row in a.entries:
+        acc = [zero] * b.cols
+        for k, x in enumerate(row):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b.entries[k])]
+        out.append(tuple(acc))
+    return QMatrix(a.rows, b.cols, tuple(out))
+
+
+def is_zero(m: QMatrix) -> bool:
+    return all(x == 0 for row in m.entries for x in row)
+
+
+def sparse_columns(m: QMatrix) -> list[dict]:
+    """The columns of m as {row: entry} dicts, entries kept as they are."""
+    return [{i: row[j] for i, row in enumerate(m.entries) if row[j]} for j in range(m.cols)]
+
+
 def rank_bareiss(m: QMatrix) -> int:
     """Rank of an integer matrix by fraction-free Bareiss elimination."""
     a = [[int(x) for x in row] for row in m.entries]

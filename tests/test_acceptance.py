@@ -41,7 +41,15 @@ from grakit import (
     reduction,
     relation_pairing,
 )
-from conftest import BROKEN_GERST, gerst_decomposition_count, random_connected_graphs
+from conftest import (
+    BROKEN_GERST,
+    gerst_decomposition_count,
+    identity_matrix,
+    matmul,
+    random_connected_graphs,
+    transpose,
+    zero_matrix,
+)
 
 
 @contextmanager
@@ -145,9 +153,9 @@ def test_criterion_07_gravity_dimension(classes_upto_5, classes_upto_6):
             for k in range(n + 1):
                 h_k = _averaged_homotopy(g, k)
                 h_km1 = _averaged_homotopy(g, k - 1)
-                ident = QMatrix.identity(math.comb(n, k))
-                term1 = d[k].transpose() @ h_k
-                term2 = (h_km1 @ d[k - 1].transpose()) if k >= 1 else QMatrix.zero(
+                ident = identity_matrix(math.comb(n, k))
+                term1 = matmul(transpose(d[k]), h_k)
+                term2 = matmul(h_km1, transpose(d[k - 1])) if k >= 1 else zero_matrix(
                     ident.rows, ident.cols)
                 total = QMatrix.from_rows(
                     [
@@ -164,7 +172,7 @@ def _averaged_homotopy(g, k: int) -> QMatrix:
     generator, from exterior degree k to k + 1."""
     n = g.n
     if k < 0:
-        return QMatrix.zero(math.comb(n, 0), 0)
+        return zero_matrix(math.comb(n, 0), 0)
     dom = list(combinations(g.vertices, k))
     cod = list(combinations(g.vertices, k + 1))
     index = {s: i for i, s in enumerate(cod)}

@@ -308,6 +308,19 @@ def test_malformed_json_is_one_line_error(capsys, argv):
     assert err.startswith("grakit: error: ") and err.count("\n") == 1
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["fvector", "--graph", '{"vertices": ' + _DEEP + ', "edges": []}'],
+    ["tree", "--graph", "path:3", "--tau", '{"tubes": ' + _DEEP + '}'],
+])
+def test_deeply_nested_json_is_one_line_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "grakit: error: JSON input is nested too deeply\n"
+
+
 @pytest.mark.parametrize("command", ["axioms", "grav-dims", "betti"])
 def test_disconnected_host_is_one_line_error(capsys, command):
     code, out, err = run(capsys, command, "--graph", '{"vertices":[1,2,3],"edges":[[1,2]]}')

@@ -225,3 +225,21 @@ def test_automorphism_cap():
     with pytest.raises(CapExceededError):
         automorphisms(family("path", 11))
     assert len(automorphisms(family("path", 11), cap=11)) == 2
+
+
+def test_graph_caches_are_bounded():
+    from grakit.graphs import GRAPH_CACHE_SIZE, _adjacency, _bit_index, _edge_set
+
+    g = family("cycle", 5)
+    before = [g.neighbors(v) for v in g.vertices], len(automorphisms(g))
+    index = _bit_index(g)
+    # more distinct graphs than the caches hold: paths shifted along the labels
+    for k in range(GRAPH_CACHE_SIZE + 5):
+        h = make_graph([k + 100, k + 101, k + 102], [(k + 100, k + 101), (k + 101, k + 102)])
+        assert h.neighbors(k + 101) == (k + 100, k + 102)
+        assert len(automorphisms(h)) == 2  # reads the edge set
+    for cached in (_bit_index, _edge_set, _adjacency):
+        assert cached.cache_info().currsize <= GRAPH_CACHE_SIZE
+    assert _bit_index(g) is not index  # evicted and built again, equal
+    assert _bit_index(g) == index
+    assert ([g.neighbors(v) for v in g.vertices], len(automorphisms(g))) == before
