@@ -1,14 +1,18 @@
 """Batch command-line front end.
 
-Every command reads a graph (family shorthand like "path:3", inline JSON, or
-a path to a JSON file), runs one computation, and writes a machine-readable
-report.  Reports are written key by key through one JSON encoder.  The
-nested-set listings (``nested``, ``maximal``) are streamed: their count comes
-first, from the face recursion, and each set is written as the walk yields
-it, so no listing is ever held whole; a walk that yields a different number
-of sets fails the identity check.  Every refusal comes before the first byte.
-Exit codes: 0 success, 1 input error, 2 a mathematical identity check failed.
-The vertex cap defaults to the GRAKIT_CAP environment variable when set.
+A command ``_cmd_x(g, args)`` gets the host graph (family shorthand like
+"path:3", inline JSON, or a path to a JSON file) and returns ``(report,
+csv_parts)``: its report without the graph, and the rows and header of its
+csv form or None.  ``main`` loads the host, puts ``"graph"`` first, prints
+the report and exits 2 if its ``"ok"`` is false; ``sweep`` has no host, and
+``tree`` prints DOT and returns no report.  Reports are written key by key
+through one JSON encoder.  The nested-set listings (``nested``, ``maximal``)
+are streamed: their count comes first, from the face recursion, and each set
+is written as the walk yields it, so no listing is ever held whole; a walk
+that yields a different number of sets fails the identity check.  Every
+refusal comes before the first byte.  Exit codes: 0 success, 1 input error,
+2 a mathematical identity check failed.  The vertex cap defaults to the
+GRAKIT_CAP environment variable when set.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from concurrent.futures import BrokenExecutor
 from functools import lru_cache, partial
 
 from . import engine, groebner, polycomb, tubings
-from .graphs import CapExceededError, Graph, GraphError, parse_graph
+from .graphs import CapExceededError, Graph, GraphError, family, parse_graph
 from .tubings import DEFAULT_CAP, NestedSet, _tube_table, nested_set_from_json, nested_tree
 
 EXIT_OK = 0
@@ -137,99 +141,87 @@ def _listing(g: Graph, sets: Iterable[NestedSet], count: int) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations.  Each returns (report, exit_code, csv parts).
+# Command implementations, in the contract the module docstring states.
 # ---------------------------------------------------------------------------
 
-def _cmd_tubes(args):
-    g = _load_graph(args.graph)
+def _cmd_tubes(g, args):
     ts = tubings.tubes(g, cap=args.cap)
-    report = {"graph": args.graph, "tubes": [list(t) for t in ts]}
-    return report, EXIT_OK, ([[" ".join(map(str, t))] for t in ts], ["tube"])
+    report = {"tubes": [list(t) for t in ts]}
+    return report, ([[" ".join(map(str, t))] for t in ts], ["tube"])
 
 
-def _cmd_nested(args):
-    g = _load_graph(args.graph)
+def _cmd_nested(g, args):
     # the empty family is the one nested set not counted without augmentation
     count = sum(polycomb.f_vector(g, cap=args.cap)) - (not args.augmented)
     sets = tubings.enumerate_nested(g, args.augmented, cap=args.cap)
     report = {
-        "graph": args.graph,
         "augmented": args.augmented,
         "count": count,
         "nested_sets": _listing(g, sets, count),
     }
-    return report, EXIT_OK, None
+    return report, None
 
 
-def _cmd_maximal(args):
-    g = _load_graph(args.graph)
+def _cmd_maximal(g, args):
     count = polycomb.f_vector(g, cap=args.cap)[0]
     sets = tubings.maximal_nested(g, cap=args.cap)
-    report = {"graph": args.graph, "count": count, "nested_sets": _listing(g, sets, count)}
-    return report, EXIT_OK, None
+    report = {"count": count, "nested_sets": _listing(g, sets, count)}
+    return report, None
 
 
-def _cmd_tree(args):
-    g = _load_graph(args.graph)
+def _cmd_tree(g, args):
+    if args.format != "dot":
+        raise GraphError("tree has only a dot form")
     ns = _load_nested(g, args.tau, args.cap)
     dot = nested_tree(ns).to_dot()
     print(dot)
-    return None, EXIT_OK, None
+    return None, None
 
 
-def _cmd_fvector(args):
-    g = _load_graph(args.graph)
+def _cmd_fvector(g, args):
     f = polycomb.f_vector(g, cap=args.cap)
-    return {"graph": args.graph, "f": f}, EXIT_OK, ([[i, x] for i, x in enumerate(f)], ["dim", "count"])
+    return {"f": f}, ([[i, x] for i, x in enumerate(f)], ["dim", "count"])
 
 
-def _cmd_hpoly(args):
-    g = _load_graph(args.graph)
+def _cmd_hpoly(g, args):
     h = polycomb.h_poly_from_f(polycomb.f_vector(g, cap=args.cap))
-    return {"graph": args.graph, "h": h}, EXIT_OK, ([[i, x] for i, x in enumerate(h)], ["degree", "coefficient"])
+    return {"h": h}, ([[i, x] for i, x in enumerate(h)], ["degree", "coefficient"])
 
 
-def _cmd_betti(args):
-    g = _load_graph(args.graph)
+def _cmd_betti(g, args):
     b = polycomb.betti(g, cap=args.cap)
-    return {"graph": args.graph, "betti": b}, EXIT_OK, ([[2 * i, x] for i, x in enumerate(b)], ["degree", "dim"])
+    return {"betti": b}, ([[2 * i, x] for i, x in enumerate(b)], ["degree", "dim"])
 
 
-def _cmd_grav_dims(args):
-    g = _load_graph(args.graph)
+def _cmd_grav_dims(g, args):
     dims = engine.gravity_dims(g)
     expected = 2 ** (g.n - 1)
     ok = dims.total == expected
     report = {
-        "graph": args.graph,
         "by_degree": {str(k): v for k, v in sorted(dims.by_degree.items())},
         "total": dims.total,
         "expected": expected,
         "ok": ok,
     }
-    return report, EXIT_OK if ok else EXIT_IDENTITY, None
+    return report, None
 
 
-def _cmd_check_gravity(args):
-    g = _load_graph(args.graph)
+def _cmd_check_gravity(g, args):
     rep = engine.check_gravity_relations(g, cap=args.cap)
     report = {
-        "graph": args.graph,
         "tube_relations": [
             {"tube": list(t), "holds": ok} for t, ok in rep.tube_results
         ],
         "total_relation_holds": rep.total_holds,
         "ok": rep.all_hold,
     }
-    return report, EXIT_OK if rep.all_hold else EXIT_IDENTITY, None
+    return report, None
 
 
-def _cmd_relations(args):
-    g = _load_graph(args.graph)
+def _cmd_relations(g, args):
     build = engine.gravity_relations if args.system == "grav" else engine.hypercom_relations
     rel = build(g, cap=args.cap)
     report = {
-        "graph": args.graph,
         "which": args.system,
         "basis": [list(t) for t in rel.basis_tubes],
         "vectors": [list(v) for v in rel.vectors],
@@ -237,46 +229,40 @@ def _cmd_relations(args):
     }
     rows = [[i, *v] for i, v in enumerate(rel.vectors)]
     header = ["relation"] + ["e_" + "".join(map(str, t)) for t in rel.basis_tubes]
-    return report, EXIT_OK, (rows, header)
+    return report, (rows, header)
 
 
-def _cmd_koszul_check(args):
-    g = _load_graph(args.graph)
+def _cmd_koszul_check(g, args):
     hom = groebner.koszul_check(g, cap=args.cap)
     ok = all(dim == (1 if k == 0 else 0) for k, dim in hom.items())
     report = {
-        "graph": args.graph,
         "homology": {str(k): v for k, v in sorted(hom.items())},
         "ok": ok,
     }
-    return report, EXIT_OK if ok else EXIT_IDENTITY, None
+    return report, None
 
 
-def _cmd_normal_count(args):
-    g = _load_graph(args.graph)
+def _cmd_normal_count(g, args):
     count = sum(groebner.normal_counts(g, args.system, cap=args.cap))
-    report = {"graph": args.graph, "system": args.system, "count": count}
-    return report, EXIT_OK, ([[args.system, count]], ["system", "count"])
+    report = {"system": args.system, "count": count}
+    return report, ([[args.system, count]], ["system", "count"])
 
 
-def _cmd_reduce(args):
-    g = _load_graph(args.graph)
+def _cmd_reduce(g, args):
     ns = _load_nested(g, args.tau, args.cap)
     red = groebner.reduction(ns)
-    report = {"graph": args.graph, "tau": ns.tubes, "reduced": red.tubes}
-    return report, EXIT_OK, None
+    report = {"tau": ns.tubes, "reduced": red.tubes}
+    return report, None
 
 
-def _cmd_induce(args):
-    g = _load_graph(args.graph)
+def _cmd_induce(g, args):
     ns = _load_nested(g, args.omega, args.cap)
     ind = groebner.induction(ns)
-    report = {"graph": args.graph, "omega": ns.tubes, "induced": ind.tubes}
-    return report, EXIT_OK, None
+    report = {"omega": ns.tubes, "induced": ind.tubes}
+    return report, None
 
 
-def _cmd_axioms(args):
-    g = _load_graph(args.graph)
+def _cmd_axioms(g, args):
     out = {}
     ok = True
     for name, model in (("grcom", engine.GRCOM), ("gerst", engine.GRGERST)):
@@ -286,26 +272,20 @@ def _cmd_axioms(args):
             "violations": [list(v) for v in rep.violations[:20]],
         }
         ok = ok and rep.passed
-    report = {"graph": args.graph, "models": out, "ok": ok}
-    return report, EXIT_OK if ok else EXIT_IDENTITY, None
+    report = {"models": out, "ok": ok}
+    return report, None
 
 
-SWEEP_COMMANDS = ("vertex-count", "nested-count", "grav-dim", "normal-count")
+_SWEEP_VALUES = {
+    "vertex-count": lambda g, system, cap: polycomb.f_vector(g, cap=cap)[0],
+    "nested-count": lambda g, system, cap: sum(polycomb.f_vector(g, cap=cap)),
+    "grav-dim": lambda g, system, cap: engine.gravity_dims(g).total,
+    "normal-count": lambda g, system, cap: sum(groebner.normal_counts(g, system, cap=cap)),
+}
 
 
-def _sweep_value(family: str, n: int, command: str, system: str, cap: int):
-    from .graphs import family as make_family
-
-    g = make_family(family, n)
-    if command == "vertex-count":
-        return polycomb.f_vector(g, cap=cap)[0]
-    if command == "nested-count":
-        return sum(polycomb.f_vector(g, cap=cap))
-    if command == "grav-dim":
-        return engine.gravity_dims(g).total
-    if command == "normal-count":
-        return sum(groebner.normal_counts(g, system, cap=cap))
-    raise GraphError(f"unknown sweep command {command!r}; pick from {SWEEP_COMMANDS}")
+def _sweep_value(kind: str, n: int, command: str, system: str, cap: int):
+    return _SWEEP_VALUES[command](family(kind, n), system, cap)
 
 
 def _cmd_sweep(args):
@@ -335,7 +315,7 @@ def _cmd_sweep(args):
         "command": args.command,
         "values": {str(n): v for n, v in zip(ns, values)},
     }
-    return report, EXIT_OK, (rows, ["family", "n", "command", "value"])
+    return report, (rows, ["family", "n", "command", "value"])
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kw in extra:
             p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)
-        return p
 
     add("tubes", _cmd_tubes)
     add("nested", _cmd_nested, extra=[("--augmented", dict(action="store_true"))])
@@ -383,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("sweep", _cmd_sweep, graph=False, fmt="csv", extra=[
         ("--family", dict(required=True, choices=("path", "cycle", "complete", "star"))),
         ("--range", dict(required=True, help="like 2..6")),
-        ("--command", dict(required=True, choices=SWEEP_COMMANDS)),
+        ("--command", dict(required=True, choices=_SWEEP_VALUES)),
         ("--system", dict(default="hyper", choices=groebner.SYSTEMS)),
         ("--jobs", dict(type=int, default=1, help="worker processes")),
     ])
@@ -396,7 +375,11 @@ def main(argv=None) -> int:
     try:
         if args.cap is None:
             args.cap = _default_cap()
-        report, code, csv_parts = args.fn(args)
+        if "graph" in args:
+            report, csv_parts = args.fn(_load_graph(args.graph), args)
+            report = report and {"graph": args.graph, **report}  # tree has none
+        else:
+            report, csv_parts = args.fn(args)
         if report is not None:
             _emit(report, args.format, csv_parts)
     except IdentityCheckFailed as exc:
@@ -405,7 +388,7 @@ def main(argv=None) -> int:
     except (GraphError, ValueError, KeyError, OSError, BrokenExecutor) as exc:
         print(f"grakit: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return code
+    return EXIT_IDENTITY if report and report.get("ok") is False else EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -163,13 +163,6 @@ class GerstElement:
             raise ValueError("hosts differ")
         return GerstElement(self.host, _added(self.terms, other.terms, s=-1))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GerstElement)
-            and self.host == other.host
-            and self.terms == other.terms
-        )
-
 
 def gerst_basis_element(g: Graph, s: tuple[int, ...]) -> GerstElement:
     return GerstElement(g, {tuple(sorted(s)): 1})

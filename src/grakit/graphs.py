@@ -11,6 +11,7 @@ complement are read off its components.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -68,21 +69,35 @@ def _is_label(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)  # bool is an int subclass, not a label
 
 
+ERROR_VALUE_WIDTH = 40  # characters of an offending value an error message shows
+
+
+def _shown(x) -> str:
+    """``repr(x)``, cut to ERROR_VALUE_WIDTH characters, so an error about a
+    huge input stays a short line."""
+    text = repr(x)
+    return text if len(text) <= ERROR_VALUE_WIDTH else text[:ERROR_VALUE_WIDTH - 3] + "..."
+
+
 def make_graph(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> Graph:
-    """Validate and canonicalize; duplicate edges are absorbed, loops rejected."""
+    """Validate and canonicalize; duplicate edges are absorbed, loops rejected.
+    An error names the first offending label or edge, not the whole input."""
     vs = list(vertices)
-    if any(not _is_label(v) or v <= 0 for v in vs):
-        raise GraphError(f"vertex labels must be positive integers: {vs}")
-    if len(set(vs)) != len(vs):
-        raise DuplicateLabelError(f"duplicate vertex labels in {vs}")
+    for v in vs:
+        if not _is_label(v) or v <= 0:
+            raise GraphError(f"vertex labels must be positive integers, got {_shown(v)}")
     vset = set(vs)
+    if len(vset) != len(vs):
+        dup = next(v for v, k in Counter(vs).items() if k > 1)
+        raise DuplicateLabelError(f"duplicate vertex label {_shown(dup)}")
     canon = set()
     for e in edges:
         a, b = e
         if a == b:
-            raise LoopEdgeError(f"loop edge ({a},{b}) not allowed")
+            raise LoopEdgeError(f"loop edge ({_shown(a)},{_shown(b)}) not allowed")
         if not (_is_label(a) and _is_label(b) and a in vset and b in vset):
-            raise DanglingEndpointError(f"edge ({a},{b}) has endpoint outside {sorted(vset)}")
+            raise DanglingEndpointError(
+                f"edge ({_shown(a)},{_shown(b)}) has an endpoint that is not a vertex label")
         canon.add((min(a, b), max(a, b)))
     return Graph(tuple(sorted(vs)), tuple(sorted(canon)))
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -157,6 +158,14 @@ def test_tree_dot(capsys):
     assert "{1,2} | λ={2}" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_tree_has_only_a_dot_form(capsys, fmt):
+    code, out, err = run(capsys, "tree", "--graph", "path:3",
+                         "--tau", '{"tubes": [[1], [1, 2], [1, 2, 3]]}', "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == "grakit: error: tree has only a dot form\n"
+
+
 def test_reduce_and_induce(capsys):
     code, out, _ = run(capsys, "reduce", "--graph", "complete:2",
                        "--tau", '{"tubes": [[1], [1, 2]]}')
@@ -190,11 +199,21 @@ def test_identity_commands_exit_zero(capsys):
         assert json.loads(out)["ok"] is True
 
 
-def test_identity_failure_exits_two(capsys, monkeypatch):
+@pytest.mark.parametrize("command, module, name, fake", [
+    ("grav-dims", "engine", "gravity_dims",
+     lambda g: SimpleNamespace(by_degree={0: 1}, total=1)),
+    ("check-gravity", "engine", "check_gravity_relations",
+     lambda g, cap: SimpleNamespace(tube_results=[((1, 2), False)], total_holds=True,
+                                    all_hold=False)),
+    ("axioms", "engine", "check_axioms",
+     lambda model, g, cap: SimpleNamespace(passed=False, violations=[])),
+    ("koszul-check", "groebner", "koszul_check", lambda g, cap: {0: 2, 1: 1}),
+], ids=["grav-dims", "check-gravity", "axioms", "koszul-check"])
+def test_identity_failure_exits_two(capsys, monkeypatch, command, module, name, fake):
     import grakit.cli as cli
 
-    monkeypatch.setattr(cli.groebner, "koszul_check", lambda g, cap: {0: 2, 1: 1})
-    code, out, _ = run(capsys, "koszul-check", "--graph", "path:3")
+    monkeypatch.setattr(getattr(cli, module), name, fake)
+    code, out, _ = run(capsys, command, "--graph", "path:3")
     assert code == 2
     assert json.loads(out)["ok"] is False
 
@@ -392,3 +411,24 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["f"] == [5, 5, 1]
+
+
+BIG = 30_000
+
+
+@pytest.mark.parametrize("graph, message", [
+    ({"vertices": [1] * BIG, "edges": []}, "duplicate vertex label 1"),
+    ({"vertices": list(range(1, BIG + 1)), "edges": [[1, BIG + 1]]},
+     f"edge (1,{BIG + 1}) has an endpoint that is not a vertex label"),
+    ({"vertices": [[1, 1]] * BIG, "edges": []},
+     "vertex labels must be positive integers, got [1, 1]"),
+    ({"vertices": [list(range(BIG))], "edges": []},
+     "vertex labels must be positive integers, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11..."),
+], ids=["duplicate", "dangling-edge", "bad-label", "long-label"])
+def test_graph_errors_name_one_value(tmp_path, capsys, graph, message):
+    # a big graph file gives a short error, not one the size of the file
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run(capsys, "fvector", "--graph", str(path))
+    assert code == 1 and out == ""
+    assert err == f"grakit: error: {message}\n"

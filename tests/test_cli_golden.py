@@ -10,8 +10,12 @@ nested sets were stored as tube bitmasks, whose order rests on bit order
 matching label order.  The third covers the engine commands (relations,
 check-gravity, grav-dims and axioms) on both host lists; it was recorded
 before the engine moved from rational to integer coefficients and from
-label tuples to tube masks.  If a deliberate change of output format moves
-a digest, record the new one together with that change.
+label tuples to tube masks.  The fourth covers the forms the other three
+leave out: ``betti``, the csv and text forms, ``sweep`` and ``tree``; it
+was recorded before every command's report went through one ``main``
+that loads the host, writes ``graph`` first and sets the exit code.  If a
+deliberate change of output format moves a digest, record the new one
+together with that change.
 """
 
 import contextlib
@@ -27,6 +31,7 @@ from conftest import connected_classes_upto, relabelled
 GOLDEN_SHA256 = "d90d5bfabfe74ef33a9e26769a7812a2d1308eb33c74bdfbf353dee5c975c4b9"
 GOLDEN_RELABELLED_SHA256 = "0d2be9c38d39d946b5342cff17e13fafbc996b2968b45a3dfe76f650755f61e6"
 GOLDEN_ENGINE_SHA256 = "381aa51c36b267ce77a065105c8f458784950a8ca720f60a04dba5b48485cb7b"
+GOLDEN_FORMATS_SHA256 = "7555691a6ec52df729e1121a2a42cc4207733421b897536e52d5ff95a5909ee1"
 
 FAMILIES_5 = ["path:5", "cycle:5", "star:5", "complete:5"]
 ROUND_TRIP_HOSTS = ["path:4", "complete:4"]
@@ -98,3 +103,34 @@ def test_engine_cli_output_digest():
         for argv in argvs:
             chunks.append(_run(argv + ["--graph", spec]))
     assert hashlib.sha256("".join(chunks).encode()).hexdigest() == GOLDEN_ENGINE_SHA256
+
+
+def test_formats_cli_output_digest():
+    rng = random.Random(20261021)
+    hosts = connected_classes_upto(4) + [parse_graph(s) for s in FAMILIES_5]
+    hosts += [relabelled(g, rng) for g in hosts]
+    chunks = []
+    for g in hosts:
+        spec = json.dumps(g.to_json())
+        argvs = [["betti"], ["betti", "--format", "csv"], ["tubes", "--format", "csv"],
+                 ["fvector", "--format", "csv"], ["fvector", "--format", "text"],
+                 ["hpoly", "--format", "csv"], ["grav-dims", "--format", "text"],
+                 ["normal-count", "--system", "grav", "--format", "csv"],
+                 ["normal-count", "--system", "hyper", "--format", "csv"]]
+        if g.n >= 2:
+            argvs.append(["relations", "--system", "hyper", "--format", "csv"])
+        for argv in argvs:
+            chunks.append(_run(argv + ["--graph", spec]))
+        if g.n <= 4:
+            for tubes in _sets(_run(["nested", "--augmented", "--graph", spec])):
+                tau = json.dumps({"tubes": tubes})
+                chunks.append(_run(["tree", "--graph", spec, "--tau", tau]))
+    for family in ("path", "cycle", "complete", "star"):
+        for command in ("vertex-count", "nested-count", "grav-dim", "normal-count"):
+            for fmt in ("csv", "json"):
+                chunks.append(_run(["sweep", "--family", family, "--range", "3..5",
+                                    "--command", command, "--system", "grav",
+                                    "--format", fmt]))
+        chunks.append(_run(["sweep", "--family", family, "--range", "3..5",
+                            "--command", "normal-count"]))
+    assert hashlib.sha256("".join(chunks).encode()).hexdigest() == GOLDEN_FORMATS_SHA256
