@@ -27,8 +27,8 @@ from concurrent.futures import BrokenExecutor
 from functools import lru_cache, partial
 
 from . import engine, groebner, polycomb, tubings
-from .graphs import CapExceededError, Graph, GraphError, family, parse_graph
-from .tubings import DEFAULT_CAP, NestedSet, _tube_table, nested_set_from_json, nested_tree
+from .graphs import Graph, GraphError, family, parse_graph
+from .tubings import DEFAULT_CAP, NestedSet, _check_host, _tube_table, nested_set_from_json, nested_tree
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -80,8 +80,7 @@ def _load_graph(spec: str) -> Graph:
 
 def _load_nested(g: Graph, spec: str, cap: int) -> NestedSet:
     # validating a nested set builds the host's tube table over all 2^n subsets
-    if g.n > cap:
-        raise CapExceededError(f"{g.n} vertices exceeds cap {cap}")
+    _check_host(g, cap)
     return nested_set_from_json(g, _read_json(spec))
 
 

@@ -15,8 +15,9 @@ validated by the derivation squaring to zero and by the axiom suite.
 Coefficients are integers: every structure constant of these models is a
 sign, so nothing divides.  The arithmetic is whatever the caller's numbers
 do, so elements with exact rational coefficients stay exact.  Vertex subsets
-are bitmasks of the host (bit i is the i-th smallest label), and the axiom
-suite walks the host's tube table.
+are bitmasks of the host (bit i is the i-th smallest label).  The gravity
+check and the axiom suite walk the host's tube table, and build each graph
+a composition needs from masks with ``graphs._reconnect``.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ from .graphs import (
     _reconnect,
     automorphisms,
     component_masks,
-    induced,
     labels_of,
     mask_of,
-    reconnected_complement,
 )
 from .tubings import DEFAULT_CAP, NestedSet, _check_host, _proper_masks, _tube_table
 
@@ -104,7 +103,7 @@ class GrComX:
 
     def circ(self, g: Graph, t: tuple[int, ...], x: Element, y: Element) -> Element:
         """Tube composition: x on the reconnected complement, y on the tube."""
-        return self.compose(g, tuple(t), x, [y]) if t else self.compose(g, (), x, [])
+        return self.compose(g, tuple(t), x, [y])
 
     def relabel(self, alpha: dict, x: Element) -> Element:
         """Push an element along a vertex bijection, with the Koszul sign of
@@ -254,15 +253,6 @@ def gravity_generator(g: Graph) -> GerstElement:
     return derivation(gerst_unit(g))
 
 
-def _lambda_circ_vertex(g: Graph, v: int) -> GerstElement:
-    """Composition of the gravity generator of g with the vertex v removed
-    against the degree-one generator at v."""
-    gs = reconnected_complement(g, (v,))
-    outer = gravity_generator(gs) if gs.n else gerst_unit(gs)
-    inner = gerst_basis_element(induced(g, (v,)), (v,))
-    return gerst_circ(g, (v,), outer, inner)
-
-
 @dataclass(frozen=True)
 class GravityRelationReport:
     host: Graph
@@ -277,24 +267,30 @@ class GravityRelationReport:
 def check_gravity_relations(g: Graph, cap: int = DEFAULT_CAP) -> GravityRelationReport:
     """Exact check of the gravity relations inside the square-zero model.
 
-    For every tube T with 2 <= |T| < n, the sum over v in T of the one-vertex
-    compositions equals the single composition at T; the sum over all
-    vertices vanishes.
+    Every proper tube T composes the gravity generator of the reconnected
+    complement against that of the induced graph on T; on a vertex v the
+    inner generator is b_v.  For every tube T with 2 <= |T| < n, the sum
+    over v in T of the one-vertex compositions equals the composition at T;
+    the sum over all vertices vanishes.
     """
     _check_host(g, cap)
     if g.n < 2:
         raise ValueError("relations need at least two vertices")
-    lam = {v: _lambda_circ_vertex(g, v) for v in g.vertices}
     full = (1 << g.n) - 1
+
+    def lam(m: int, t: tuple[int, ...]) -> GerstElement:
+        return gerst_circ(g, t, gravity_generator(_reconnect(g, full & ~m, m)),
+                          gravity_generator(_reconnect(g, m, 0)))
+
+    labels = _tube_table(g)[0]
+    single = {t[0]: lam(m, t) for m, t in labels.items() if len(t) == 1}
     results = []
-    for m, t in _tube_table(g)[0].items():
+    for m, t in labels.items():
         if len(t) < 2 or m == full:
             continue
-        lhs = sum((lam[v] for v in t), GerstElement(g, {}))
-        rhs = gerst_circ(g, t, gravity_generator(_reconnect(g, full & ~m, m)),
-                         gravity_generator(_reconnect(g, m, 0)))
-        results.append((t, lhs == rhs))
-    total = sum(lam.values(), GerstElement(g, {}))
+        lhs = sum((single[v] for v in t), GerstElement(g, {}))
+        results.append((t, lhs == lam(m, t)))
+    total = sum(single.values(), GerstElement(g, {}))
     return GravityRelationReport(g, tuple(results), total.is_zero())
 
 
@@ -451,7 +447,7 @@ def check_axioms(model: GrComX, g: Graph, cap: int = DEFAULT_CAP) -> AxiomReport
                     violations.append(("consecutive", f"tubes {t1}<{t2} on {x},{y},{z}"))
 
     # equivariance: relabeling commutes with every tube composition
-    for alpha in automorphisms(g, cap=max(cap, g.n)):
+    for alpha in automorphisms(g, cap):
         for m in ts:
             t = labels[m]
             at = tuple(sorted(alpha[u] for u in t))

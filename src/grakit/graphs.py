@@ -53,7 +53,7 @@ class Graph:
         return len(self.vertices)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return labels_of(self, _adjacency(self)[_bit_index(self)[v]])
+        return labels_of(self, _adjacency(self)[mask_of(self, (v,)).bit_length() - 1])
 
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
@@ -270,38 +270,31 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 def automorphisms(g: Graph, cap: int = 10) -> list[dict[int, int]]:
     """All adjacency-preserving vertex bijections, sorted by image tuple.
 
-    Backtracking over degree-compatible images; `cap` guards the search.
+    Backtracks over bit positions on the adjacency masks: position i may go
+    to any unused position w of the same degree whose neighbours among the
+    images already used are exactly the images of i's earlier neighbours.
+    Images are tried in ascending order, so the list comes out sorted.
+    `cap` guards the search.
     """
     if g.n > cap:
         raise CapExceededError(f"automorphism search capped at {cap} vertices")
     vs = g.vertices
-    deg = {v: len(g.neighbors(v)) for v in vs}
-    es = _edge_set(g)
+    adj = _adjacency(g)
     out: list[dict[int, int]] = []
-    image: dict[int, int] = {}
-    used: set[int] = set()
+    image = [0] * g.n
 
-    def consistent(v: int, w: int) -> bool:
-        for u in image:
-            if ((min(u, v), max(u, v)) in es) != ((min(image[u], w), max(image[u], w)) in es):
-                return False
-        return True
-
-    def extend(i: int) -> None:
-        if i == len(vs):
-            out.append(dict(image))
+    def extend(i: int, used: int) -> None:
+        if i == g.n:
+            out.append({vs[a]: vs[b] for a, b in enumerate(image)})
             return
-        v = vs[i]
-        for w in vs:
-            if w in used or deg[w] != deg[v]:
-                continue
-            if consistent(v, w):
-                image[v] = w
-                used.add(w)
-                extend(i + 1)
-                del image[v]
-                used.discard(w)
+        deg = adj[i].bit_count()
+        want = 0
+        for u in range(i):
+            want |= (adj[i] >> u & 1) << image[u]
+        for w in range(g.n):
+            if not used >> w & 1 and adj[w].bit_count() == deg and adj[w] & used == want:
+                image[i] = w
+                extend(i + 1, used | 1 << w)
 
-    extend(0)
-    out.sort(key=lambda m: tuple(m[v] for v in vs))
+    extend(0, 0)
     return out

@@ -154,17 +154,15 @@ def proper_tubes(g: Graph, cap: int = DEFAULT_CAP) -> list[Tube]:
 
 
 def is_nested(g: Graph, tube_family: Iterable[Iterable[int]]) -> bool:
-    """Pairwise nestedness check; raises if a member is not a tube."""
-    masks = []
-    for t in tube_family:
-        t = tuple(sorted(t))
-        if not _is_tube(g, t):
-            raise NotConnectedError(f"{t} is not a tube of the host")
-        masks.append(mask_of(g, t))
-    tset = _tube_table(g)[0]
-    return all(
-        _compatible(tset, a, b) for a, b in itertools.combinations(masks, 2)
-    )
+    """Whether :func:`nested_set` accepts the family; raises as it does if
+    a member is not a vertex set or not a tube."""
+    try:
+        nested_set(g, tube_family)
+    except GraphError:
+        raise
+    except ValueError:  # the one error of nested_set that is not a GraphError
+        return False
+    return True
 
 
 def _check_host(g: Graph, cap: int) -> None:

@@ -403,6 +403,14 @@ def test_nested_set_commands_pass_the_cap_through(capsys):
     assert json.loads(out)["induced"][-1] == list(range(1, 19))
 
 
+def test_nested_set_commands_refuse_a_disconnected_host(capsys):
+    # the host is refused before its tube table is built and the set is read
+    code, out, err = run(capsys, "reduce", "--graph", '{"vertices": [1, 2], "edges": []}',
+                         "--tau", '{"tubes": [[1], [1, 2]]}')
+    assert code == 1 and out == ""
+    assert err == "grakit: error: host graph must be connected\n"
+
+
 def test_python_dash_m_runs_the_cli():
     # run the package this suite imports, wherever it is installed
     src = os.path.dirname(os.path.dirname(grakit.__file__))

@@ -106,6 +106,16 @@ def test_gerst_compose_sign_example():
     assert gerst_circ(k2, (2,), outer2, inner2).terms == {(1, 2): Fraction(1)}
 
 
+def test_circ_refuses_the_empty_tube():
+    # a tube composition has one inner factor, and the empty set has no
+    # component to take it
+    p2 = family("path", 2)
+    with pytest.raises(ValueError, match="expected 0 inner factors, got 1"):
+        GRGERST.circ(p2, (), {(1,): 1}, {(2,): 5})
+    with pytest.raises(ValueError, match="expected 0 inner factors, got 1"):
+        gerst_circ(p2, (), gerst_unit(p2), gerst_unit(EMPTY_GRAPH))
+
+
 def _swap_sign(seq) -> int:
     """Oracle: bubble-sort the odd vertices and count the swaps."""
     seq, swaps = list(seq), 0
@@ -215,6 +225,16 @@ def test_gravity_relations_hold():
     rep = check_gravity_relations(p3)
     assert dict(rep.tube_results)[(1, 2)] is True
     assert rep.all_hold
+
+
+def test_gravity_check_fails_without_koszul_signs(monkeypatch):
+    # negative control: with every merge sign +1 the model is no longer the
+    # square-zero one, and the check must see it at every tube and in total
+    monkeypatch.setattr(GrComX, "_merge_sign", lambda self, seq: 1)
+    for kind, n in (("path", 3), ("cycle", 4), ("star", 4), ("complete", 4)):
+        rep = check_gravity_relations(family(kind, n))
+        assert rep.tube_results and not any(ok for _, ok in rep.tube_results), (kind, n)
+        assert not rep.total_holds, (kind, n)
 
 
 def test_gerst_dimension(classes_upto_5):

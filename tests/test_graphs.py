@@ -21,7 +21,7 @@ from grakit import (
     parse_graph,
     reconnected_complement,
 )
-from conftest import oracle_automorphisms, oracle_reconnected_edges
+from conftest import oracle_automorphisms, oracle_reconnected_edges, relabelled
 
 
 def test_make_graph_empty():
@@ -203,8 +203,12 @@ def test_automorphism_counts_families():
         assert len(automorphisms(family("cycle", n))) == 2 * n
 
 
-def test_automorphisms_against_brute_force():
+def test_automorphisms_against_brute_force(classes_upto_5):
+    # the search's list, in its own order, is sorted by image tuple and
+    # equals the brute-force list: on random graphs, on every class with at
+    # most five vertices, and on seeded relabelled copies of those classes
     rng = random.Random(9)
+    graphs = []
     for _ in range(25):
         n = rng.randint(1, 5)
         edges = [
@@ -213,18 +217,28 @@ def test_automorphisms_against_brute_force():
             for j in range(i + 1, n + 1)
             if rng.random() < 0.5
         ]
-        g = make_graph(range(1, n + 1), edges)
+        graphs.append(make_graph(range(1, n + 1), edges))
+    graphs += classes_upto_5
+    graphs += [relabelled(g, rng) for g in classes_upto_5]
+    for g in graphs:
         got = automorphisms(g)
+        images = [tuple(m[v] for v in g.vertices) for m in got]
+        assert images == sorted(images), g
         want = oracle_automorphisms(g)
-        assert sorted(got, key=lambda m: tuple(m.values())) == sorted(
-            want, key=lambda m: tuple(m.values())
-        )
+        assert got == sorted(want, key=lambda m: tuple(m[v] for v in g.vertices)), g
 
 
 def test_automorphism_cap():
     with pytest.raises(CapExceededError):
         automorphisms(family("path", 11))
     assert len(automorphisms(family("path", 11), cap=11)) == 2
+
+
+def test_neighbors_refuses_a_non_vertex():
+    p3 = family("path", 3)
+    assert p3.neighbors(2) == (1, 3)
+    with pytest.raises(GraphError, match="9 is not a vertex of"):
+        p3.neighbors(9)
 
 
 def test_graph_caches_are_bounded():
@@ -237,7 +251,7 @@ def test_graph_caches_are_bounded():
     for k in range(GRAPH_CACHE_SIZE + 5):
         h = make_graph([k + 100, k + 101, k + 102], [(k + 100, k + 101), (k + 101, k + 102)])
         assert h.neighbors(k + 101) == (k + 100, k + 102)
-        assert len(automorphisms(h)) == 2  # reads the edge set
+        assert len(automorphisms(h)) == 2  # reads the adjacency masks
     for cached in (_bit_index, _edge_set, _adjacency):
         assert cached.cache_info().currsize <= GRAPH_CACHE_SIZE
     assert _bit_index(g) is not index  # evicted and built again, equal

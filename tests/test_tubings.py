@@ -102,6 +102,20 @@ def test_is_nested_examples():
     assert is_nested(p3, [[1], [3]])
     with pytest.raises(NotConnectedError):
         is_nested(p3, [[1, 3]])
+    with pytest.raises(GraphError):
+        is_nested(p3, [[1, 4]])
+
+
+def test_is_nested_is_what_nested_set_accepts(classes_upto_4):
+    for g in classes_upto_4:
+        for pair in itertools.combinations(tubes(g), 2):
+            try:
+                nested_set(g, pair)
+                accepted = True
+            except ValueError as exc:
+                assert str(exc).endswith("are not nested")
+                accepted = False
+            assert is_nested(g, pair) is accepted, (g, pair)
 
 
 def test_enumerate_nested_k2():
