@@ -12,7 +12,8 @@ is written as the walk yields it, so no listing is ever held whole; a walk
 that yields a different number of sets fails the identity check.  Every
 refusal comes before the first byte.  Exit codes: 0 success, 1 input error,
 2 a mathematical identity check failed.  The vertex cap defaults to the
-GRAKIT_CAP environment variable when set.
+GRAKIT_CAP environment variable when set.  ``sweep`` computes its rows one
+after another in the calling process.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from concurrent.futures import BrokenExecutor
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import engine, groebner, polycomb, tubings
 from .graphs import Graph, GraphError, family, parse_graph
@@ -283,31 +283,14 @@ _SWEEP_VALUES = {
 }
 
 
-def _sweep_value(kind: str, n: int, command: str, system: str, cap: int):
-    return _SWEEP_VALUES[command](family(kind, n), system, cap)
-
-
 def _cmd_sweep(args):
     lo, _, hi = args.range.partition("..")
     lo, hi = int(lo), int(hi or lo)
     if hi < lo:
         raise GraphError(f"range {args.range} is empty: {hi} is below {lo}")
     ns = range(lo, hi + 1)
-    # processes beyond the rows or the cores could only wait
-    jobs = max(1, min(args.jobs, len(ns), os.cpu_count() or 1))
-    worker = partial(_sweep_value, args.family, command=args.command,
-                     system=args.system, cap=args.cap)
-    if jobs > 1:
-        # imported here: the pool's modules would add a tenth to every command's start-up
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # spawned workers inherit no threads or state from this process
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            values = list(pool.map(worker, ns))
-    else:
-        values = [worker(n) for n in ns]
+    values = [_SWEEP_VALUES[args.command](family(args.family, n), args.system, args.cap)
+              for n in ns]
     rows = [[args.family, n, args.command, v] for n, v in zip(ns, values)]
     report = {
         "family": args.family,
@@ -363,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--range", dict(required=True, help="like 2..6")),
         ("--command", dict(required=True, choices=_SWEEP_VALUES)),
         ("--system", dict(default="hyper", choices=groebner.SYSTEMS)),
-        ("--jobs", dict(type=int, default=1, help="worker processes")),
     ])
     return parser
 
@@ -384,7 +366,7 @@ def main(argv=None) -> int:
     except IdentityCheckFailed as exc:
         print(f"grakit: identity check failed: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
-    except (GraphError, ValueError, KeyError, OSError, BrokenExecutor) as exc:
+    except (GraphError, ValueError, KeyError, OSError) as exc:
         print(f"grakit: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_IDENTITY if report and report.get("ok") is False else EXIT_OK

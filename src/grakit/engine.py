@@ -237,7 +237,7 @@ def gravity_dims(g: Graph) -> GravityDims:
     In each degree the images of the basis elements are the sparse columns
     of the derivation, ranked exactly without building a matrix.
     """
-    _check_host(g, g.n)  # uncapped: a cap here changes the benchmark (ROADMAP item 5)
+    _check_host(g, g.n)  # uncapped: a cap here would refuse the benchmark's grav-dims path:10
     by_degree = {}
     for k in range(g.n + 1):
         dom = list(itertools.combinations(g.vertices, k))

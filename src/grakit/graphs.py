@@ -41,6 +41,10 @@ class CapExceededError(GraphError):
     """A size cap guarding an exponential enumeration was exceeded."""
 
 
+# the one default vertex cap of every exponential entry point
+DEFAULT_CAP = 9
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph: ascending vertex labels, canonical edge pairs."""
@@ -267,7 +271,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     return make_graph(g1.vertices + g2.vertices, g1.edges + g2.edges)
 
 
-def automorphisms(g: Graph, cap: int = 10) -> list[dict[int, int]]:
+def automorphisms(g: Graph, cap: int = DEFAULT_CAP) -> list[dict[int, int]]:
     """All adjacency-preserving vertex bijections, sorted by image tuple.
 
     Backtracks over bit positions on the adjacency masks: position i may go

@@ -318,21 +318,28 @@ def reduction(ns: NestedSet) -> NestedSet:
 def induction(ns: NestedSet) -> NestedSet:
     """Complete an augmented nested set to a maximal one.
 
-    While some node label has more than one vertex, take the largest such
-    node t in (size, lexicographic) order, which is inclusion-maximal among
-    them, and its minimal label vertex v, and insert the lift of the node
-    tube {v} at t: the smallest compatible tube containing v, which is v
-    together with the children of t adjacent to it.
+    At each node whose label has more than one vertex, peel off the minimal
+    label vertex v and insert the lift of the node tube {v}: the smallest
+    compatible tube containing v, which is v together with the node's
+    current children adjacent to it.  The lift replaces the children it
+    absorbs, and the node goes on until its label is a singleton.  An
+    insertion at a node changes only that node's label and children, and
+    the new node's label {v} is already a singleton, so the nodes can be
+    completed in any order, all from one mask tree, with one sort at the end.
     """
     g = ns.host
     if not ns.augmented:
         raise ValueError("induction requires an augmented nested set")
     rank = _tube_table(g)[1]
-    masks = ns.masks
-    while len(masks) < g.n:
-        parent, label = _mask_tree(masks)
-        i = max(i for i, m in enumerate(label) if m & (m - 1))
-        v = label[i] & -label[i]
-        lifted = _reach(g, v, _children(masks, parent, i))[v]
-        masks = tuple(sorted(masks + (lifted,), key=rank.__getitem__))
-    return NestedSet(g, masks)
+    masks = list(ns.masks)
+    parent, label = _mask_tree(ns.masks)
+    for i, rest in enumerate(label):
+        if rest & (rest - 1):
+            kids = _children(ns.masks, parent, i)
+            while rest & (rest - 1):
+                v = rest & -rest
+                rest ^= v
+                lifted = _reach(g, v, kids)[v]
+                kids = [c for c in kids if not c & lifted] + [lifted]
+                masks.append(lifted)
+    return NestedSet(g, tuple(sorted(masks, key=rank.__getitem__)))

@@ -32,6 +32,7 @@ from operator import or_
 from typing import Container, Iterable, Iterator, Sequence
 
 from .graphs import (
+    DEFAULT_CAP,
     CapExceededError,
     Graph,
     GraphError,
@@ -46,8 +47,6 @@ from .graphs import (
 )
 
 Tube = tuple[int, ...]
-
-DEFAULT_CAP = 9
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,6 +25,7 @@ from grakit import (
     hypercom_relations,
     is_connected,
     make_graph,
+    nested_set,
     proper_tubes,
     quadratic_divisor,
 )
@@ -326,6 +327,34 @@ def oracle_is_normal(ns: NestedSet, system: str) -> bool:
             if tube in oracle_leading_tubes(delta, system):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Induction one insertion at a time: the oracle for the one-pass rule.
+# ---------------------------------------------------------------------------
+
+def oracle_induction(ns: NestedSet) -> NestedSet:
+    """Induction by the largest-node-first rule, on label tuples: while some
+    node label has more than one vertex, take the last such node t in
+    canonical order, its minimal label vertex v, and add the tube of v and
+    the children of t adjacent to v."""
+    g = ns.host
+    adj = {v: set() for v in g.vertices}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    tubes = [set(t) for t in ns.tubes]
+    while len(tubes) < g.n:
+        for t in reversed(tubes):
+            inside = [c for c in tubes if c < t]
+            kids = [c for c in inside if not any(c < d for d in inside)]
+            label = t.difference(*kids)
+            if len(label) > 1:
+                break
+        v = min(label)
+        tubes.append({v}.union(*(c for c in kids if adj[v] & c)))
+        tubes = [set(t) for t in nested_set(g, tubes).tubes]
+    return nested_set(g, tubes)
 
 
 # ---------------------------------------------------------------------------

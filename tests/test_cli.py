@@ -55,92 +55,29 @@ def test_sweep_catalan_and_factorial(capsys):
     assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["2", "6", "24", "120"]
 
 
-def test_sweep_single_row_and_jobs_determinism(capsys):
-    code, out1, _ = run(capsys, "sweep", "--family", "path", "--range", "1..1",
-                        "--command", "nested-count")
-    assert code == 0
-    assert out1.splitlines()[1:] == ["path,1,nested-count,1"]
-    code, out_serial, _ = run(capsys, "sweep", "--family", "path", "--range", "2..5",
-                              "--command", "normal-count", "--system", "grav")
-    code2, out_parallel, _ = run(capsys, "sweep", "--family", "path", "--range", "2..5",
-                                 "--command", "normal-count", "--system", "grav",
-                                 "--jobs", "4")
-    assert code == code2 == 0
-    assert out_serial == out_parallel
-    assert [line.split(",")[-1] for line in out_serial.splitlines()[1:]] == \
-        ["2", "4", "8", "16"]
-
-
-def test_sweep_jobs_clamped_to_rows_and_cores(capsys, monkeypatch):
-    import grakit.cli as cli
-
-    started = []
-
-    class RecordingPool:  # runs serially, so no process is started
-        def __init__(self, max_workers, mp_context):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    argv = ["sweep", "--family", "path", "--command", "vertex-count", "--jobs", "1000"]
-    code, out, _ = run(capsys, *argv, "--range", "2..6")
-    assert code == 0 and started == [3]
-    assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["2", "5", "14", "42", "132"]
-    code, _, _ = run(capsys, *argv, "--range", "2..3")
-    assert code == 0 and started == [3, 2]
-    code, _, _ = run(capsys, *argv, "--range", "4..4")  # one row runs serially
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one core
-    code2, _, _ = run(capsys, *argv, "--range", "2..6")
-    assert code == code2 == 0 and started == [3, 2]
-
-
 SWEEP = ["sweep", "--family", "path", "--command", "nested-count"]
 
 
-def test_sweep_process_pool_matches_serial(capsys):
-    code, serial, _ = run(capsys, *SWEEP, "--range", "2..6")
-    code2, pooled, _ = run(capsys, *SWEEP, "--range", "2..6", "--jobs", "2")
-    assert code == code2 == 0
-    assert pooled == serial
-    assert [line.split(",")[-1] for line in serial.splitlines()[1:]] == \
+def test_sweep_single_row_and_counts(capsys):
+    code, out1, _ = run(capsys, *SWEEP, "--range", "1..1")
+    assert code == 0
+    assert out1.splitlines()[1:] == ["path,1,nested-count,1"]
+    code, out, _ = run(capsys, *SWEEP, "--range", "2..6")
+    assert code == 0
+    assert [line.split(",")[-1] for line in out.splitlines()[1:]] == \
         ["3", "11", "45", "197", "903"]
+    code, out, _ = run(capsys, "sweep", "--family", "path", "--range", "2..5",
+                       "--command", "normal-count", "--system", "grav")
+    assert code == 0
+    assert [line.split(",")[-1] for line in out.splitlines()[1:]] == \
+        ["2", "4", "8", "16"]
 
 
 def test_sweep_worker_refusal_is_one_line_error(capsys):
-    code, out, err = run(capsys, *SWEEP, "--range", "8..10", "--jobs", "2")
+    # the refusal of the last row comes after the first rows were computed
+    code, out, err = run(capsys, *SWEEP, "--range", "8..10")
     assert code == 1 and out == ""
     assert err == "grakit: error: 10 vertices exceeds cap 9\n"
-
-
-def test_sweep_broken_pool_is_one_line_error(capsys, monkeypatch):
-    from concurrent.futures.process import BrokenProcessPool
-
-    class DeadPool:
-        def __init__(self, max_workers, mp_context):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            raise BrokenProcessPool("a worker process died")
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", DeadPool)
-    code, out, err = run(capsys, *SWEEP, "--range", "2..5", "--jobs", "2")
-    assert code == 1 and out == ""
-    assert err == "grakit: error: a worker process died\n"
 
 
 @pytest.mark.parametrize("span", ["5..3", "2..1"])
@@ -304,10 +241,14 @@ def test_bool_vertex_labels_rejected(capsys):
     assert code == 1 and err.startswith("grakit: error: ")
 
 
-def test_jobs_only_on_sweep():
-    with pytest.raises(SystemExit) as exc:
-        main(["fvector", "--graph", "path:3", "--jobs", "2"])
-    assert exc.value.code == 1
+def test_jobs_refused_on_every_command(capsys):
+    for argv in (["fvector", "--graph", "path:3"],
+                 ["sweep", "--family", "path", "--range", "2..5", "--command", "vertex-count"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert captured.err == "grakit: error: unrecognized arguments: --jobs 2\n"
 
 
 @pytest.mark.parametrize("argv", [

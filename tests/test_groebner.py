@@ -40,6 +40,7 @@ from conftest import (
     grcom_relations,
     hyper_leading_tubes_by_order,
     leading_term,
+    oracle_induction,
     oracle_is_normal,
     oracle_leading_tubes,
     pivot_tubes,
@@ -462,3 +463,11 @@ def test_reduction_induction_roundtrip(classes_upto_4):
             assert set(reduction(induction(w)).tubes) <= set(w.tubes)
         images = {induction(w) for w in normals}
         assert len(images) == len(normals)
+
+
+def test_induction_matches_largest_node_first(classes_upto_5):
+    # completing the nodes in any order from one mask tree inserts the tubes
+    # the largest-node-first loop inserts
+    for g in _with_relabelled(classes_upto_5, 2209):
+        for ns in enumerate_nested(g, augmented=True):
+            assert induction(ns) == oracle_induction(ns), ns

@@ -23,10 +23,11 @@ from grakit import (
     reconnected_complement,
     tubes,
 )
-from grakit.tubings import NestedSet, lex_key, prec_key
+from grakit.tubings import NestedSet, lex_key, node_graph, node_insertions, prec_key
 from conftest import (
     connected_classes_upto,
     nested_lex_less,
+    oracle_reconnected_edges,
     oracle_tubes,
     random_connected_graphs,
     relabelled,
@@ -222,6 +223,33 @@ def test_nested_tree_dot():
     dot = nested_tree(ns).to_dot()
     assert "{3,4} | λ={3,4}" in dot
     assert "->" in dot
+
+
+def test_node_graph_and_insertions_against_oracles(classes_upto_5):
+    # at each node, the node graph is the tube with its children reconnected
+    # away, and the insertions are its proper tubes, each lifted to the
+    # smallest compatible host tube that meets the node label in it
+    for g in classes_upto_5:
+        host_tubes = oracle_tubes(g)
+        for ns in enumerate_nested(g, augmented=True):
+            members = [set(t) for t in ns.tubes]
+            # host tubes compatible with every member, by the definition
+            compatible = [u for u in map(set, host_tubes) if all(
+                u <= s or s < u or not s & u and tuple(sorted(s | u)) not in host_tubes
+                for s in members)]
+            for t, ts in zip(ns.tubes, members):
+                removed = set().union(*(c for c in members if c < ts))
+                label = ts - removed
+                h = node_graph(ns, t)
+                assert set(h.vertices) == label
+                sub = make_graph(t, [e for e in g.edges if set(e) <= ts])
+                assert set(h.edges) == oracle_reconnected_edges(sub, removed)
+                got = node_insertions(ns, t)
+                assert sorted(x for x, _ in got) == sorted(oracle_tubes(h) - {h.vertices})
+                for x, lift in got:
+                    assert lift in host_tubes and set(lift) & label == set(x)
+                    assert is_nested(g, [*ns.tubes, lift])
+                    assert all(set(lift) <= u for u in compatible if u & label == set(x))
 
 
 def test_descents_examples():
