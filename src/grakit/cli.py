@@ -7,19 +7,19 @@ csv form or None.  ``main`` loads the host, puts ``"graph"`` first, prints
 the report and exits 2 if its ``"ok"`` is false; ``sweep`` has no host, and
 ``tree`` prints DOT and returns no report.  Reports are written key by key
 through one JSON encoder.  The nested-set listings (``nested``, ``maximal``)
-are streamed: their count comes first, from the face recursion, and each set
-is written as the walk yields it, so no listing is ever held whole; a walk
-that yields a different number of sets fails the identity check.  Every
-refusal comes before the first byte.  Exit codes: 0 success, 1 input error,
-2 a mathematical identity check failed.  The vertex cap defaults to the
-GRAKIT_CAP environment variable when set.  ``sweep`` computes its rows one
-after another in the calling process.
+are streamed in the json and the text form alike: their count comes first,
+from the face recursion, and each set is written as the walk yields it, so
+no listing is ever held whole; a walk that yields a different number of sets
+fails the identity check.  Every refusal comes before the first byte.  Exit
+codes: 0 success, 1 input error, 2 a mathematical identity check failed.
+The vertex cap defaults to the GRAKIT_CAP environment variable when set;
+``grav-dims`` ignores it.  ``sweep`` computes its rows one after another in
+the calling process.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -93,11 +93,7 @@ def _write_json(report: dict, out) -> None:
         text += ("," if i else "") + _ENCODER.encode(key) + ":"
         if isinstance(value, Iterator):
             out.write(text + "[")
-            first = next(value, None)
-            if first is not None:
-                out.write(first)
-                for item in value:
-                    out.write("," + item)
+            out.writelines(("," if j else "") + item for j, item in enumerate(value))
             text = "]"
         else:
             text += _ENCODER.encode(value)
@@ -106,8 +102,8 @@ def _write_json(report: dict, out) -> None:
 
 def _emit(report: dict, fmt: str, csv_parts) -> None:
     """Print a report; ``dot`` stands for json outside the tree command.
-    json is written key by key, streamed lists item by item; text reads the
-    same writer's output back, so there is one encoding path."""
+    text prints each value as its JSON text reads back, so tuples show as the
+    json form's lists, and writes a streamed list item by item, as json does."""
     if fmt == "csv":
         if csv_parts is None:
             raise GraphError("this command has no csv form")
@@ -116,11 +112,14 @@ def _emit(report: dict, fmt: str, csv_parts) -> None:
         for row in rows:
             print(",".join(str(x) for x in row))
     elif fmt == "text":
-        # read back, the json form prints tuples as the lists it shows
-        buf = io.StringIO()
-        _write_json(report, buf)
-        for key, value in json.loads(buf.getvalue()).items():
-            print(f"{key}: {value}")
+        for key, value in report.items():
+            if isinstance(value, Iterator):
+                items = (repr(json.loads(item)) for item in value)
+                sys.stdout.write(f"{key}: [")
+                sys.stdout.writelines((", " if j else "") + item for j, item in enumerate(items))
+                print("]")
+            else:
+                print(f"{key}: {json.loads(_ENCODER.encode(value))}")
     else:
         _write_json(report, sys.stdout)
 
@@ -220,13 +219,14 @@ def _cmd_check_gravity(g, args):
 def _cmd_relations(g, args):
     build = engine.gravity_relations if args.system == "grav" else engine.hypercom_relations
     rel = build(g, cap=args.cap)
+    dense = [[v.get(i, 0) for i in range(len(rel.basis))] for v in rel.vectors]
     report = {
         "which": args.system,
         "basis": [list(t) for t in rel.basis_tubes],
-        "vectors": [list(v) for v in rel.vectors],
+        "vectors": dense,
         "span_dim": rel.span_dim(),
     }
-    rows = [[i, *v] for i, v in enumerate(rel.vectors)]
+    rows = [[i, *v] for i, v in enumerate(dense)]
     header = ["relation"] + ["e_" + "".join(map(str, t)) for t in rel.basis_tubes]
     return report, (rows, header)
 
@@ -285,9 +285,12 @@ _SWEEP_VALUES = {
 
 def _cmd_sweep(args):
     lo, _, hi = args.range.partition("..")
-    lo, hi = int(lo), int(hi or lo)
+    try:
+        lo, hi = int(lo), int(hi or lo)
+    except ValueError:
+        raise GraphError(f"range must look like 2..6, got {args.range!r}") from None
     if hi < lo:
-        raise GraphError(f"range {args.range} is empty: {hi} is below {lo}")
+        raise GraphError(f"range {args.range!r} is empty: {hi} is below {lo}")
     ns = range(lo, hi + 1)
     values = [_SWEEP_VALUES[args.command](family(args.family, n), args.system, args.cap)
               for n in ns]

@@ -18,11 +18,19 @@ do, so elements with exact rational coefficients stay exact.  Vertex subsets
 are bitmasks of the host (bit i is the i-th smallest label).  The gravity
 check and the axiom suite walk the host's tube table, and build each graph
 a composition needs from masks with ``graphs._reconnect``.
+
+Linear data is sparse columns, the form ``exactla`` ranks: the derivation's
+images of basis elements, and relation vectors as {basis position:
+coefficient} dicts.  Dense rows appear only in the ``relations`` report and
+the three ``QMatrix`` views the benchmark's tracer pins: ``exactla.rank``,
+``gerst_derivation_matrix`` and ``CobarComplex.differential_matrix``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .exactla import QMatrix, _rank_exact
@@ -41,13 +49,6 @@ from .tubings import DEFAULT_CAP, NestedSet, _check_host, _proper_masks, _tube_t
 # tuple of b-carrying vertices to a nonzero coefficient.  GrCom has no b, so
 # its only key is ().
 Element = dict
-
-
-def _added(x: Element, y: Element, s: int = 1) -> Element:
-    out = dict(x)
-    for k, v in y.items():
-        out[k] = out.get(k, 0) + s * v
-    return out
 
 
 def _inversion_sign(seq: list[int]) -> int:
@@ -155,21 +156,13 @@ class GerstElement:
     def __add__(self, other: "GerstElement") -> "GerstElement":
         if other.host != self.host:
             raise ValueError("hosts differ")
-        return GerstElement(self.host, _added(self.terms, other.terms))
+        out = dict(self.terms)
+        for s, c in other.terms.items():
+            out[s] = out.get(s, 0) + c
+        return GerstElement(self.host, out)
 
     def __sub__(self, other: "GerstElement") -> "GerstElement":
-        if other.host != self.host:
-            raise ValueError("hosts differ")
-        return GerstElement(self.host, _added(self.terms, other.terms, s=-1))
-
-
-def gerst_basis_element(g: Graph, s: tuple[int, ...]) -> GerstElement:
-    return GerstElement(g, {tuple(sorted(s)): 1})
-
-
-def gerst_unit(g: Graph) -> GerstElement:
-    """The degree-zero generator product m over every vertex."""
-    return GerstElement(g, {(): 1})
+        return self + GerstElement(other.host, {s: -c for s, c in other.terms.items()})
 
 
 def gerst_circ(g: Graph, t: tuple[int, ...], x: GerstElement, y: GerstElement) -> GerstElement:
@@ -210,19 +203,19 @@ def derivation(x: GerstElement) -> GerstElement:
     return GerstElement(x.host, out)
 
 
+def _derivation_columns(g: Graph, k: int) -> Iterator[dict]:
+    """The derivation's sparse columns out of degree k, lexicographic by subset."""
+    return (derivation(GerstElement(g, {s: 1})).terms for s in itertools.combinations(g.vertices, k))
+
+
 def gerst_derivation_matrix(g: Graph, k: int) -> QMatrix:
     """Matrix of the derivation from degree k to degree k+1, bases ordered
     lexicographically by subset."""
     if not 0 <= k <= g.n:
         raise ValueError(f"degree {k} out of range 0..{g.n}")
-    dom = list(itertools.combinations(g.vertices, k))
-    cod = list(itertools.combinations(g.vertices, k + 1))
-    index = {s: i for i, s in enumerate(cod)}
-    rows = [[0] * len(dom) for _ in cod]
-    for j, s in enumerate(dom):
-        for t, c in derivation(gerst_basis_element(g, s)).terms.items():
-            rows[index[t]][j] = c
-    return QMatrix.from_rows(rows, len(dom))
+    cols = list(_derivation_columns(g, k))
+    rows = [[c.get(t, 0) for c in cols] for t in itertools.combinations(g.vertices, k + 1)]
+    return QMatrix.from_rows(rows, len(cols))
 
 
 @dataclass(frozen=True)
@@ -234,15 +227,12 @@ class GravityDims:
 def gravity_dims(g: Graph) -> GravityDims:
     """Per-degree kernel dimension of the derivation; the total is 2^(n-1).
 
-    In each degree the images of the basis elements are the sparse columns
-    of the derivation, ranked exactly without building a matrix.
+    In each degree the derivation's sparse columns are streamed into the
+    exact rank without building a matrix.
     """
     _check_host(g, g.n)  # uncapped: a cap here would refuse the benchmark's grav-dims path:10
-    by_degree = {}
-    for k in range(g.n + 1):
-        dom = list(itertools.combinations(g.vertices, k))
-        cols = (derivation(gerst_basis_element(g, s)).terms for s in dom)
-        by_degree[k] = len(dom) - _rank_exact(cols)
+    by_degree = {k: math.comb(g.n, k) - _rank_exact(_derivation_columns(g, k))
+                 for k in range(g.n + 1)}
     return GravityDims(by_degree, sum(by_degree.values()))
 
 
@@ -250,7 +240,7 @@ def gravity_generator(g: Graph) -> GerstElement:
     """Image of the degree-zero generator under the derivation: the sum of
     all singleton basis elements.  It lies in the kernel of the derivation."""
     _check_host(g, g.n)  # uncapped, as gravity_dims
-    return derivation(gerst_unit(g))
+    return derivation(GerstElement(g, {(): 1}))
 
 
 @dataclass(frozen=True)
@@ -298,27 +288,29 @@ def check_gravity_relations(g: Graph, cap: int = DEFAULT_CAP) -> GravityRelation
 # Weight-two relation spaces over the free one-generator-per-graph basis.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationSet:
     """Integer relation vectors over the weight-two monomial basis of a
-    fixed host; each basis monomial is the two-tube nested set {T, V}."""
+    fixed host; each basis monomial is the two-tube nested set {T, V}.  A
+    vector is a sparse column: a {basis position: coefficient} dict."""
 
     host: Graph
     basis: tuple  # tuple[NestedSet, ...]
-    vectors: tuple  # tuple[tuple[int, ...], ...]
+    vectors: tuple  # tuple[dict[int, int], ...]
 
     def __post_init__(self):
-        if any(len(v) != len(self.basis) for v in self.vectors):
-            raise ValueError("vector length does not match basis size")
+        n = len(self.basis)
+        for v in self.vectors:
+            if not (isinstance(v, dict) and all(isinstance(i, int) and 0 <= i < n for i in v)):
+                raise ValueError(f"a relation vector is a dict of positions in a basis of {n}")
 
     @property
     def basis_tubes(self) -> tuple:
         return tuple(ns.tubes[0] for ns in self.basis)
 
     def span_dim(self) -> int:
-        """Dimension of the span: the exact rank of the vectors' nonzero
-        supports."""
-        return _rank_exact({i: x for i, x in enumerate(v) if x} for v in self.vectors)
+        """Dimension of the span: the exact rank of the vectors."""
+        return _rank_exact(self.vectors)
 
 
 def free_weight2_basis(g: Graph, cap: int = DEFAULT_CAP) -> list[NestedSet]:
@@ -337,18 +329,9 @@ def gravity_relations(g: Graph, cap: int = DEFAULT_CAP) -> RelationSet:
     basis = free_weight2_basis(g, cap)
     index = {ns.masks[0]: i for i, ns in enumerate(basis)}
     singles = [index[1 << b] for b in range(g.n)]
-    vectors = []
-    for m, i in index.items():
-        if m & (m - 1):  # at least two vertices
-            v = [0] * len(basis)
-            v[i] = 1
-            for b in range(g.n):
-                v[singles[b]] -= m >> b & 1
-            vectors.append(tuple(v))
-    total = [0] * len(basis)
-    for j in singles:
-        total[j] = 1
-    vectors.append(tuple(total))
+    vectors = [{i: 1, **{singles[b]: -1 for b in range(g.n) if m >> b & 1}}
+               for m, i in index.items() if m & (m - 1)]  # at least two vertices
+    vectors.append(dict.fromkeys(singles, 1))
     return RelationSet(g, tuple(basis), tuple(vectors))
 
 
@@ -358,22 +341,17 @@ def hypercom_relations(g: Graph, cap: int = DEFAULT_CAP) -> RelationSet:
     basis = free_weight2_basis(g, cap)
     masks = [ns.masks[0] for ns in basis]
     idx = _bit_index(g)
-    vectors = [tuple((m >> idx[a] & 1) - (m >> idx[b] & 1) for m in masks) for a, b in g.edges]
-    return RelationSet(g, tuple(basis), tuple(vectors))
+    vectors = tuple({i: d for i, m in enumerate(masks) if (d := (m >> idx[a] & 1) - (m >> idx[b] & 1))}
+                    for a, b in g.edges)
+    return RelationSet(g, tuple(basis), vectors)
 
 
 def relation_pairing(r1: RelationSet, r2: RelationSet) -> list[list[int]]:
     """Gram matrix of two relation sets under the standard pairing that makes
-    the weight-two monomials orthonormal, as dense rows of dot products taken
-    over the sparse supports."""
+    the weight-two monomials orthonormal: dense rows of sparse dot products."""
     if r1.host != r2.host or r1.basis != r2.basis:
         raise ValueError("relation sets live on different bases")
-    supports = [{i: b for i, b in enumerate(y) if b} for y in r2.vectors]
-    gram = []
-    for x in r1.vectors:
-        xs = [(i, a) for i, a in enumerate(x) if a]
-        gram.append([sum(a * y[i] for i, a in xs if i in y) for y in supports])
-    return gram
+    return [[sum(a * y[i] for i, a in x.items() if i in y) for y in r2.vectors] for x in r1.vectors]
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ FAMILY_MAX_N = 64
 def family(kind: str, n: int) -> Graph:
     """Named graph on labels 1..n: path, cycle, complete, or star (center 1)."""
     if n > FAMILY_MAX_N:
-        raise GraphError(f"{kind}:{n} has more than {FAMILY_MAX_N} vertices")
+        raise GraphError(f"{kind + ':' + str(n)!r} has more than {FAMILY_MAX_N} vertices")
     if kind == "path":
         if n < 0:
             raise GraphError("path requires n >= 0")
@@ -146,9 +146,11 @@ def parse_graph(spec: str | dict) -> Graph:
     if not isinstance(spec, str):
         raise GraphError(f"a graph is a shorthand string or a JSON object, got {spec!r}")
     kind, _, num = spec.partition(":")
-    if not num:
-        raise GraphError(f"graph shorthand must look like 'path:4', got {spec!r}")
-    return family(kind, int(num))
+    try:
+        n = int(num)
+    except ValueError:
+        raise GraphError(f"graph shorthand must look like 'path:4', got {spec!r}") from None
+    return family(kind, n)
 
 
 # ---------------------------------------------------------------------------

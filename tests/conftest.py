@@ -246,12 +246,13 @@ def gerst_decomposition_count(g: Graph) -> int:
 # oracle for the library's edge rule.
 # ---------------------------------------------------------------------------
 
-def leading_term(vector, basis: list[NestedSet], ordering: str = "lex") -> NestedSet:
-    """Monomial of the largest nonzero coefficient under the nested-set
-    order ("lex"), or the smallest ("opposite")."""
+def leading_term(vector: dict, basis: list[NestedSet], ordering: str = "lex") -> NestedSet:
+    """Monomial of the largest nonzero coefficient of a sparse vector
+    ({basis position: coefficient}) under the nested-set order ("lex"), or
+    the smallest ("opposite")."""
     if ordering not in ("lex", "opposite"):
         raise ValueError(f"unknown ordering {ordering!r}")
-    support = [ns for ns, c in zip(basis, vector) if c]
+    support = [basis[i] for i, c in vector.items() if c]
     if not support:
         raise ValueError("zero vector has no leading term")
     pick = max if ordering == "lex" else min
@@ -259,14 +260,14 @@ def leading_term(vector, basis: list[NestedSet], ordering: str = "lex") -> Neste
 
 
 def pivot_tubes(relations: RelationSet, ordering: str) -> frozenset:
-    """Leading tubes of the span of a weight-two relation set: eliminate in
-    the chosen order and read off the pivot monomials."""
+    """Leading tubes of the span of a weight-two relation set: densify each
+    vector, eliminate in the chosen order and read off the pivot monomials."""
     basis = list(relations.basis)
     order = sorted(range(len(basis)), key=lambda i: lex_key(basis[i]),
                    reverse=(ordering == "lex"))
     pivots: dict = {}
     for vec in relations.vectors:
-        row = list(vec)
+        row = [vec.get(i, 0) for i in range(len(basis))]
         while True:
             lead = next((i for i in order if row[i]), None)
             if lead is None:
@@ -284,8 +285,7 @@ def grcom_relations(g: Graph) -> RelationSet:
     """The graded commutative relations in weight two: every weight-two
     monomial equals the first one."""
     basis = tuple(free_weight2_basis(g, cap=g.n))
-    vectors = tuple(tuple(Fraction((j == i) - (j == 0)) for j in range(len(basis)))
-                    for i in range(1, len(basis)))
+    vectors = tuple({0: Fraction(-1), i: Fraction(1)} for i in range(1, len(basis)))
     return RelationSet(g, basis, vectors)
 
 

@@ -72,6 +72,30 @@ def test_listing_reports_byte_identical(command):
 LISTINGS = (["nested"], ["nested", "--augmented"], ["maximal"])
 
 
+@pytest.mark.parametrize("fmt", ("json", "text"))
+@pytest.mark.parametrize("command", LISTINGS, ids=" ".join)
+def test_listings_write_each_set_before_the_next(monkeypatch, command, fmt):
+    # a listing is never held whole: each set reaches stdout before the walk
+    # yields the next one, in the text form as in the json form
+    out = io.StringIO()
+    listing = cli._listing
+    checked = []
+
+    def watched(g, sets, count):
+        shown = None
+        for item in listing(g, sets, count):
+            if shown is not None:
+                assert out.getvalue().endswith(shown), "a set was held back"
+                checked.append(shown)
+            yield item
+            shown = item if fmt == "json" else repr(json.loads(item))
+
+    monkeypatch.setattr(cli, "_listing", watched)
+    with contextlib.redirect_stdout(out):
+        assert main(command + ["--graph", "path:4", "--format", fmt]) == 0
+    assert len(checked) > 1
+
+
 @pytest.mark.parametrize("command", LISTINGS, ids=" ".join)
 def test_listing_count_mismatch_exits_two(capsys, monkeypatch, command):
     f_vector = cli.polycomb.f_vector

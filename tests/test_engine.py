@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
 
@@ -13,6 +14,7 @@ from grakit import (
     GerstElement,
     GrComX,
     NotConnectedError,
+    RelationSet,
     betti,
     check_axioms,
     check_gravity_relations,
@@ -34,7 +36,8 @@ from grakit import (
     relation_pairing,
     tubes,
 )
-from grakit.engine import gerst_basis_element, gerst_unit
+from grakit import engine
+from grakit.exactla import _rank_exact
 from conftest import (
     BROKEN_GERST,
     gerst_decomposition_count,
@@ -113,7 +116,7 @@ def test_circ_refuses_the_empty_tube():
     with pytest.raises(ValueError, match="expected 0 inner factors, got 1"):
         GRGERST.circ(p2, (), {(1,): 1}, {(2,): 5})
     with pytest.raises(ValueError, match="expected 0 inner factors, got 1"):
-        gerst_circ(p2, (), gerst_unit(p2), gerst_unit(EMPTY_GRAPH))
+        gerst_circ(p2, (), GerstElement(p2, {(): 1}), GerstElement(EMPTY_GRAPH, {(): 1}))
 
 
 def _swap_sign(seq) -> int:
@@ -142,8 +145,8 @@ def test_gerst_circ_matches_swap_oracle(classes_upto_4):
                 gs, gt = reconnected_complement(g, t), induced(g, t)
                 for sx in _subsets(gs.vertices):
                     for sy in _subsets(gt.vertices):
-                        got = gerst_circ(g, t, gerst_basis_element(gs, sx),
-                                         gerst_basis_element(gt, sy))
+                        got = gerst_circ(g, t, GerstElement(gs, {sx: 1}),
+                                         GerstElement(gt, {sy: 1}))
                         want = {tuple(sorted(sx + sy)): _swap_sign(sx + sy)}
                         assert got.terms == want, (g, t, sx, sy)
 
@@ -177,8 +180,8 @@ def test_derivation_is_a_derivation():
             for sx in combinations(gs.vertices, rx):
                 for ry in range(gt.n + 1):
                     for sy in combinations(gt.vertices, ry):
-                        x = gerst_basis_element(gs, sx)
-                        y = gerst_basis_element(gt, sy)
+                        x = GerstElement(gs, {sx: 1})
+                        y = GerstElement(gt, {sy: 1})
                         lhs = derivation(gerst_circ(g, t, x, y))
                         rhs = gerst_circ(g, t, derivation(x), y)
                         other = gerst_circ(g, t, x, derivation(y))
@@ -246,7 +249,7 @@ def test_hypercom_relations_k2():
     k2 = family("complete", 2)
     rel = hypercom_relations(k2)
     assert rel.basis_tubes == ((2,), (1,))
-    assert [list(map(int, v)) for v in rel.vectors] == [[-1, 1]]
+    assert rel.vectors == ({0: -1, 1: 1},)
     assert rel.span_dim() == 1
 
 
@@ -266,16 +269,37 @@ def test_hypercom_spanning_tree_relations_span(classes_upto_5):
             for i, (a, b) in enumerate(edges):
                 if (a in seen) != (b in seen):
                     seen.update((a, b))
-                    tree_rows.append(rel.vectors[i])
+                    tree_rows.append([rel.vectors[i].get(j, 0) for j in range(len(rel.basis))])
         assert rank(QMatrix.from_rows(tree_rows)) == g.n - 1
 
 
 def test_gravity_relations_examples():
     k2 = family("complete", 2)
     rel = gravity_relations(k2)
-    assert [list(map(int, v)) for v in rel.vectors] == [[1, 1]]
+    assert rel.vectors == ({0: 1, 1: 1},)
     p3 = family("path", 3)
     assert gravity_relations(p3).span_dim() == 3
+
+
+def test_relation_set_refuses_vectors_outside_its_basis():
+    # a vector is a {basis position: coefficient} dict, the form exact ranks take
+    rel = gravity_relations(family("path", 3))
+    for bad in ((1, 0, 0, 0, 0), {5: 1}, {-1: 1}, {"0": 1}):
+        with pytest.raises(ValueError):
+            RelationSet(rel.host, rel.basis, (bad,))
+
+
+def test_gravity_dims_stream_the_derivation_columns(monkeypatch):
+    # no degree's columns are listed whole before they are ranked
+    seen = []
+
+    def spy(columns):
+        seen.append(isinstance(columns, Iterator))
+        return _rank_exact(columns)
+
+    monkeypatch.setattr(engine, "_rank_exact", spy)
+    assert gravity_dims(family("path", 4)).by_degree == {0: 0, 1: 1, 2: 3, 3: 3, 4: 1}
+    assert seen == [True] * 5
 
 
 def test_relation_spans_are_orthogonal_complements(classes_upto_5):
@@ -348,11 +372,11 @@ def test_coefficients_are_ints(classes_upto_4):
                     for b in model.basis(gt):
                         assert _ints(model.circ(g, t, {a: 1}, {b: 1}).values()), (g, t, a, b)
         for s in GRGERST.basis(g):
-            assert _ints(derivation(gerst_basis_element(g, s)).terms.values())
+            assert _ints(derivation(GerstElement(g, {s: 1})).terms.values())
         if g.n < 2:
             continue
         rels = [gravity_relations(g), hypercom_relations(g)]
-        assert _ints(x for r in rels for v in r.vectors for x in v)
+        assert _ints(x for r in rels for v in r.vectors for x in v.values())
         for r1 in rels:
             for r2 in rels:
                 assert _ints(x for row in relation_pairing(r1, r2) for x in row)
@@ -361,7 +385,7 @@ def test_coefficients_are_ints(classes_upto_4):
 def test_rational_coefficients_stay_exact():
     g = family("path", 3)
     x = GerstElement(g, {(1,): Fraction(1, 2), (2, 3): Fraction(-1, 3)})
-    assert (x + x - gerst_basis_element(g, (1,))).terms == {(2, 3): Fraction(-2, 3)}
+    assert (x + x - GerstElement(g, {(1,): 1})).terms == {(2, 3): Fraction(-2, 3)}
     dx = derivation(x)
     assert dx.terms == {(1, 2): Fraction(-1, 2), (1, 3): Fraction(-1, 2), (1, 2, 3): Fraction(-1, 3)}
     assert derivation(dx).is_zero()

@@ -82,20 +82,27 @@ def test_h_identity_and_symmetry_small(classes_upto_5):
         assert h == h[::-1]
 
 
+def _stirling2(n: int, k: int) -> int:
+    """Partitions of an n-set into k nonempty blocks, by inclusion-exclusion."""
+    return sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1)) // math.factorial(k)
+
+
 def test_f_vector_closed_forms_at_reach():
-    # Fubini numbers count ordered set partitions: faces of the permutohedron.
+    # The i-faces of the permutohedron are the ordered set partitions into n - i
+    # blocks, (n - i)! S(n, n - i) of them; all faces together make a Fubini number.
     fubini = [1]
     for n in range(1, 11):
         fubini.append(sum(math.comb(n, k) * fubini[n - k] for k in range(1, n + 1)))
     assert fubini[8] == 545835
     for n in range(1, 11):
         f = f_vector(family("complete", n), cap=12)
+        assert f == [math.factorial(n - i) * _stirling2(n, n - i) for i in range(n)], n
         assert sum(f) == fubini[n]
-        assert f[0] == math.factorial(n)
-    # Little Schröder numbers count dissections of an (n+2)-gon (Kirkman-Cayley:
-    # j diagonals in C(n-1, j) C(n+1+j, j) / (j+1) ways): faces of the associahedron.
+    # The i-faces of the associahedron are the dissections of an (n+2)-gon by
+    # j = n-1-i diagonals, C(n-1, j) C(n+1+j, j) / (j+1) of them (Kirkman-Cayley);
+    # all faces together make a little Schröder number.
     for n in range(1, 13):
-        schroeder = sum(math.comb(n - 1, j) * math.comb(n + 1 + j, j) // (j + 1)
-                        for j in range(n))
-        assert n != 9 or schroeder == 103049
-        assert sum(f_vector(family("path", n), cap=12)) == schroeder
+        f = f_vector(family("path", n), cap=12)
+        assert f == [math.comb(n - 1, j) * math.comb(n + 1 + j, j) // (j + 1)
+                     for j in range(n - 1, -1, -1)], n
+        assert n != 9 or sum(f) == 103049
