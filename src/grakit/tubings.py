@@ -19,8 +19,8 @@ compatible tubes, which the one backtracker (:func:`_iter_nested_masks`)
 walks to enumerate nested sets, yielding each as the canonical augmented
 mask tuple a :class:`NestedSet` holds, and one rule (:func:`_mask_tree`)
 derives their trees.  ≺ on subsets is ascending order of the bit-reversed
-mask, so ◁ (the sort key :func:`lex_key`) compares masks.  Face counts need
-no enumeration (see :func:`grakit.polycomb.f_vector`).
+mask, so ◁ (the sort key :func:`lex_key`) compares masks.  Face and descent
+counts need no enumeration (see :mod:`grakit.polycomb`).
 """
 
 from __future__ import annotations

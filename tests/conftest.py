@@ -30,7 +30,9 @@ from grakit import (
     quadratic_divisor,
 )
 from grakit.engine import _inversion_sign
-from grakit.tubings import lex_key
+from grakit.graphs import component_masks
+from grakit.polycomb import _root_descents
+from grakit.tubings import _iter_nested_masks, _mask_tree, _tube_table, lex_key
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +357,53 @@ def oracle_induction(ns: NestedSet) -> NestedSet:
         tubes.append({v}.union(*(c for c in kids if adj[v] & c)))
         tubes = [set(t) for t in nested_set(g, tubes).tubes]
     return nested_set(g, tubes)
+
+
+# ---------------------------------------------------------------------------
+# Face and descent counts by their earlier routes: one flood per (tube,
+# label) pair, and a walk over every maximal nested set.
+# ---------------------------------------------------------------------------
+
+def oracle_f_vector(g: Graph) -> list[int]:
+    """Face numbers by the face-polynomial recursion on the root label,
+    flooding T - L afresh for every tube T and label L; polynomials packed
+    at x = 2^(n*n)."""
+    w = g.n * g.n
+    poly: dict[int, int] = {}
+    for mask in _tube_table(g)[0]:
+        p = 0
+        label = mask
+        while label:
+            prod = 1 << w
+            for c in component_masks(g, mask & ~label):
+                prod *= poly[c]
+            p += prod
+            label = (label - 1) & mask
+        poly[mask] = p
+    return [p >> (g.n - i) * w & ((1 << w) - 1) for i in range(g.n)]
+
+
+def oracle_root_descents(g: Graph) -> list[list[int]]:
+    """Per root bit, the n descent counts of the maximal augmented nested
+    sets rooted there, by walking them all: a descent is a child whose
+    label (one bit) is below its parent's."""
+    out = [[0] * g.n for _ in range(g.n)]
+    for masks in _iter_nested_masks(g, g.n - 1):
+        parent, label = _mask_tree(masks)
+        k = sum(label[i] < label[j] for i, j in enumerate(parent[:-1]))
+        out[label[-1].bit_length() - 1][k] += 1
+    return out
+
+
+def ascent_root_descents(g: Graph) -> list[list[int]]:
+    """Negative control: the library's per-root recursion counting ascents
+    instead of descents.  Reversing the vertex order turns every descent
+    into an ascent, so this runs the recursion on the mirrored host and
+    reads its roots back in g's bit order.  h is palindromic, so the sum
+    over the roots is the same as for descents; the per-root table is not."""
+    top = g.vertices[-1] + 1
+    mirror = make_graph([top - v for v in g.vertices], [(top - a, top - b) for a, b in g.edges])
+    return _root_descents(mirror)[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,9 @@ from grakit import (
     make_graph,
     maximal_nested,
 )
+from grakit.polycomb import _root_descents
+
+from conftest import ascent_root_descents, oracle_f_vector, oracle_root_descents
 
 
 def test_f_vector_examples():
@@ -106,3 +110,33 @@ def test_f_vector_closed_forms_at_reach():
         assert f == [math.comb(n - 1, j) * math.comb(n + 1 + j, j) // (j + 1)
                      for j in range(n - 1, -1, -1)], n
         assert n != 9 or sum(f) == 103049
+
+
+def test_f_vector_matches_the_per_label_oracle(classes_upto_6, random_sevens):
+    families = [family(kind, n) for kind, low in (("path", 1), ("cycle", 3), ("star", 1), ("complete", 1))
+                for n in range(low, 11)]
+    for g in classes_upto_6 + random_sevens + families:
+        assert f_vector(g, cap=12) == oracle_f_vector(g), g
+
+
+def test_root_descents_match_the_walk_oracle(classes_upto_6, random_sevens):
+    # per root vertex, not just summed: see the ascent control below
+    for g in classes_upto_6 + random_sevens:
+        assert _root_descents(g) == oracle_root_descents(g), g
+
+
+def test_ascent_control_fails_the_walk_oracle_per_root_only():
+    for g in (family("path", 3), family("complete", 2)):
+        ascents, walk = ascent_root_descents(g), oracle_root_descents(g)
+        assert ascents != walk
+        assert [sum(c) for c in zip(*ascents)] == [sum(c) for c in zip(*walk)]
+    assert ascent_root_descents(family("complete", 2)) == [[0, 1], [1, 0]]
+
+
+def test_descents_reach_past_enumeration():
+    # complete:11 has 39,916,800 maximal nested sets; walking them is out of reach
+    start = time.process_time()
+    for kind, n in (("complete", 9), ("complete", 11), ("path", 12), ("cycle", 12), ("star", 12)):
+        g = family(kind, n)
+        assert h_poly_from_descents(g, cap=12) == h_poly_from_f(f_vector(g, cap=12)), (kind, n)
+    assert time.process_time() - start < 2.0
