@@ -9,8 +9,6 @@ calculus, and the cellular chain complex certifying the quadratic presentations.
 from .engine import (
     GRCOM,
     GRGERST,
-    GerstElement,
-    GravityDims,
     GravityRelationReport,
     GrComX,
     RelationSet,
@@ -18,10 +16,7 @@ from .engine import (
     check_gravity_relations,
     derivation,
     free_weight2_basis,
-    gerst_circ,
     gerst_derivation_matrix,
-    gerst_dimension,
-    gerst_relabel,
     gravity_dims,
     gravity_generator,
     gravity_relations,

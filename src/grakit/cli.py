@@ -193,13 +193,13 @@ def _cmd_betti(g, args):
 
 def _cmd_grav_dims(g, args):
     dims = engine.gravity_dims(g)
+    total = sum(dims.values())
     expected = 2 ** (g.n - 1)
-    ok = dims.total == expected
     report = {
-        "by_degree": {str(k): v for k, v in sorted(dims.by_degree.items())},
-        "total": dims.total,
+        "by_degree": {str(k): v for k, v in sorted(dims.items())},
+        "total": total,
         "expected": expected,
-        "ok": ok,
+        "ok": total == expected,
     }
     return report, None
 
@@ -278,7 +278,7 @@ def _cmd_axioms(g, args):
 _SWEEP_VALUES = {
     "vertex-count": lambda g, system, cap: polycomb.f_vector(g, cap=cap)[0],
     "nested-count": lambda g, system, cap: sum(polycomb.f_vector(g, cap=cap)),
-    "grav-dim": lambda g, system, cap: engine.gravity_dims(g).total,
+    "grav-dim": lambda g, system, cap: sum(engine.gravity_dims(g).values()),
     "normal-count": lambda g, system, cap: sum(groebner.normal_counts(g, system, cap=cap)),
 }
 

@@ -5,12 +5,18 @@ A reconnectad assigns a value to every connected graph together with
 structure maps composing data on a reconnected complement with data on the
 removed part.  The models here are the commutative reconnectads of two
 graded objects: GrCom, with one generator m of degree 0, and the square-zero
-model, with m and one generator b of degree 1.  A basis element over a graph
-is keyed by the ascending tuple of the vertices that carry b, and its degree
-is the length of that tuple.  A structure map concatenates the keys of its
-factors; the Koszul sign counts the pairs of that concatenation that are out
-of ascending vertex order.  This single convention fixes all signs, and is
-validated by the derivation squaring to zero and by the axiom suite.
+model, with m and one generator b of degree 1.  A structure map concatenates
+the keys of its factors; the Koszul sign counts the pairs of that
+concatenation that are out of ascending vertex order.  This single
+convention fixes all signs, and is validated by the derivation squaring to
+zero and by the axiom suite.
+
+Every element of either model, over any graph, has one form: a plain
+{key: coefficient} dict whose keys are the ascending tuples of the vertices
+that carry b, so a key's degree is its length.  Structure maps, relabelling
+and the derivation all take and return such dicts.  Keys are checked in one
+place, ``derivation``, the one entry that takes elements from outside; keys
+the library builds itself are never re-checked.
 
 Coefficients are integers: every structure constant of these models is a
 sign, so nothing divides.  The arithmetic is whatever the caller's numbers
@@ -45,9 +51,8 @@ from .graphs import (
 )
 from .tubings import DEFAULT_CAP, NestedSet, _check_host, _proper_masks, _tube_table
 
-# An element of either model over a graph is a dict mapping the ascending
-# tuple of b-carrying vertices to a nonzero coefficient.  GrCom has no b, so
-# its only key is ().
+# The one element form: {ascending tuple of b-vertices: nonzero coefficient}.
+# GrCom has no b, so its only key is ().
 Element = dict
 
 
@@ -75,9 +80,6 @@ class GrComX:
         A generator's index is its degree, so the picked indices mark b."""
         picks = itertools.product(range(len(self.generator_degrees)), repeat=g.n)
         return [tuple(itertools.compress(g.vertices, p)) for p in picks]
-
-    def degree(self, key: tuple[int, ...]) -> int:
-        return len(key)
 
     def _merge_sign(self, seq: list[int]) -> int:
         """seq lists the odd vertices in concatenation order; the sign sorts
@@ -125,87 +127,42 @@ GRGERST = GrComX((0, 1))
 
 
 # ---------------------------------------------------------------------------
-# The square-zero model over a fixed host.
+# The square-zero derivation and the gravity elements.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GerstElement:
-    """An element of the square-zero model bound to its host graph, with
-    integer coefficients or any exact numbers the caller passes.
-
-    ``terms`` is the model's element dict: it maps the ascending tuple of
-    b-carrying vertices to a nonzero coefficient; zero coefficients are
-    dropped and every key is checked against the host.  The homological
-    degree of a basis element is the subset size.
-    """
-
-    host: Graph
-    terms: dict
-
-    def __post_init__(self):
-        idx = _bit_index(self.host)
-        for s in self.terms:
-            if not (isinstance(s, tuple) and all(map(idx.__contains__, s))
-                    and all(a < b for a, b in zip(s, s[1:]))):
-                raise ValueError(f"{s!r} is not an ascending tuple of host vertices")
-        self.terms = {s: c for s, c in self.terms.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GerstElement") -> "GerstElement":
-        if other.host != self.host:
-            raise ValueError("hosts differ")
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, 0) + c
-        return GerstElement(self.host, out)
-
-    def __sub__(self, other: "GerstElement") -> "GerstElement":
-        return self + GerstElement(other.host, {s: -c for s, c in other.terms.items()})
+def _derive(g: Graph, s: tuple[int, ...]) -> Element:
+    """The derivation of the basis key s over g: b enters at each vertex v
+    outside s, with sign (-1)^(number of b-vertices below v)."""
+    out: Element = {}
+    i = 0  # the b-vertices below v are s[:i]
+    for v in g.vertices:
+        if i < len(s) and s[i] == v:
+            i += 1
+        else:
+            out[s[:i] + (v,) + s[i:]] = -1 if i % 2 else 1
+    return out
 
 
-def gerst_circ(g: Graph, t: tuple[int, ...], x: GerstElement, y: GerstElement) -> GerstElement:
-    """Tube composition in the square-zero model."""
-    return GerstElement(g, GRGERST.circ(g, tuple(t), x.terms, y.terms))
-
-
-def gerst_relabel(alpha: dict, x: GerstElement) -> GerstElement:
-    """Push an element along a vertex bijection of its host."""
-    g = x.host
-    target = Graph(
-        tuple(sorted(alpha[u] for u in g.vertices)),
-        tuple(sorted(tuple(sorted((alpha[a], alpha[b]))) for a, b in g.edges)),
-    )
-    return GerstElement(target, GRGERST.relabel(alpha, x.terms))
-
-
-def gerst_dimension(g: Graph) -> int:
-    """Size of the subset-indexed basis: 2^n."""
-    return len(GRGERST.basis(g))
-
-
-def derivation(x: GerstElement) -> GerstElement:
+def derivation(g: Graph, x: Element) -> Element:
     """Degree-1 derivation sending m to b at each vertex; squares to zero.
 
-    On a basis element the sign at vertex v is (-1)^(number of b-factors
-    before v in ascending vertex order).
+    Every key of x must be an ascending tuple of vertices of g; zero
+    coefficients are dropped from the result.
     """
-    out: dict = {}
-    for s, c in x.terms.items():
-        i = 0  # the b-factors before v are s[:i]
-        for v in x.host.vertices:
-            if i < len(s) and s[i] == v:
-                i += 1
-                continue
-            key = s[:i] + (v,) + s[i:]
-            out[key] = out.get(key, 0) + (-c if i % 2 else c)
-    return GerstElement(x.host, out)
+    idx = _bit_index(g)
+    out: Element = {}
+    for s, c in x.items():
+        if not (isinstance(s, tuple) and all(map(idx.__contains__, s))
+                and all(a < b for a, b in zip(s, s[1:]))):
+            raise ValueError(f"{s!r} is not an ascending tuple of host vertices")
+        for key, sign in _derive(g, s).items():
+            out[key] = out.get(key, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
 
 
-def _derivation_columns(g: Graph, k: int) -> Iterator[dict]:
+def _derivation_columns(g: Graph, k: int) -> Iterator[Element]:
     """The derivation's sparse columns out of degree k, lexicographic by subset."""
-    return (derivation(GerstElement(g, {s: 1})).terms for s in itertools.combinations(g.vertices, k))
+    return (_derive(g, s) for s in itertools.combinations(g.vertices, k))
 
 
 def gerst_derivation_matrix(g: Graph, k: int) -> QMatrix:
@@ -218,29 +175,22 @@ def gerst_derivation_matrix(g: Graph, k: int) -> QMatrix:
     return QMatrix.from_rows(rows, len(cols))
 
 
-@dataclass(frozen=True)
-class GravityDims:
-    by_degree: dict
-    total: int
-
-
-def gravity_dims(g: Graph) -> GravityDims:
-    """Per-degree kernel dimension of the derivation; the total is 2^(n-1).
+def gravity_dims(g: Graph) -> dict[int, int]:
+    """Kernel dimension of the derivation in each degree {k: dim}; the
+    dimensions sum to 2^(n-1).
 
     In each degree the derivation's sparse columns are streamed into the
     exact rank without building a matrix.
     """
     _check_host(g, g.n)  # uncapped: a cap here would refuse the benchmark's grav-dims path:10
-    by_degree = {k: math.comb(g.n, k) - _rank_exact(_derivation_columns(g, k))
-                 for k in range(g.n + 1)}
-    return GravityDims(by_degree, sum(by_degree.values()))
+    return {k: math.comb(g.n, k) - _rank_exact(_derivation_columns(g, k)) for k in range(g.n + 1)}
 
 
-def gravity_generator(g: Graph) -> GerstElement:
+def gravity_generator(g: Graph) -> Element:
     """Image of the degree-zero generator under the derivation: the sum of
     all singleton basis elements.  It lies in the kernel of the derivation."""
     _check_host(g, g.n)  # uncapped, as gravity_dims
-    return derivation(GerstElement(g, {(): 1}))
+    return _derive(g, ())
 
 
 @dataclass(frozen=True)
@@ -268,20 +218,22 @@ def check_gravity_relations(g: Graph, cap: int = DEFAULT_CAP) -> GravityRelation
         raise ValueError("relations need at least two vertices")
     full = (1 << g.n) - 1
 
-    def lam(m: int, t: tuple[int, ...]) -> GerstElement:
-        return gerst_circ(g, t, gravity_generator(_reconnect(g, full & ~m, m)),
-                          gravity_generator(_reconnect(g, m, 0)))
+    def lam(m: int, t: tuple[int, ...]) -> Element:
+        return GRGERST.circ(g, t, gravity_generator(_reconnect(g, full & ~m, m)),
+                            gravity_generator(_reconnect(g, m, 0)))
+
+    def total(elements) -> Element:
+        out: Element = {}
+        for x in elements:
+            for k, c in x.items():
+                out[k] = out.get(k, 0) + c
+        return {k: c for k, c in out.items() if c}
 
     labels = _tube_table(g)[0]
     single = {t[0]: lam(m, t) for m, t in labels.items() if len(t) == 1}
-    results = []
-    for m, t in labels.items():
-        if len(t) < 2 or m == full:
-            continue
-        lhs = sum((single[v] for v in t), GerstElement(g, {}))
-        results.append((t, lhs == lam(m, t)))
-    total = sum(single.values(), GerstElement(g, {}))
-    return GravityRelationReport(g, tuple(results), total.is_zero())
+    results = tuple((t, total(single[v] for v in t) == lam(m, t))
+                    for m, t in labels.items() if len(t) >= 2 and m != full)
+    return GravityRelationReport(g, results, not total(single.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +358,7 @@ def check_axioms(model: GrComX, g: Graph, cap: int = DEFAULT_CAP) -> AxiomReport
         for x, y, z in elements(_reconnect(g, full & ~(m1 | m2), m1 | m2), sub[m1], sub[m2]):
             lhs = model.circ(g, t2, model.circ(star[m2], t1, x, y), z)
             rhs = model.circ(g, t1, model.circ(star[m1], t2, x, z), y)
-            if model.degree(next(iter(y))) * model.degree(next(iter(z))) % 2:
+            if len(next(iter(y))) * len(next(iter(z))) % 2:
                 rhs = {k: -c for k, c in rhs.items()}
             if lhs != rhs:
                 violations.append(("parallel", f"tubes {t1},{t2} on {x},{y},{z}"))

@@ -97,11 +97,11 @@ def make_graph(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> Graph
     canon = set()
     for e in edges:
         a, b = e
-        if a == b:
-            raise LoopEdgeError(f"loop edge ({_shown(a)},{_shown(b)}) not allowed")
         if not (_is_label(a) and _is_label(b) and a in vset and b in vset):
             raise DanglingEndpointError(
                 f"edge ({_shown(a)},{_shown(b)}) has an endpoint that is not a vertex label")
+        if a == b:
+            raise LoopEdgeError(f"loop edge ({_shown(a)},{_shown(b)}) not allowed")
         canon.add((min(a, b), max(a, b)))
     return Graph(tuple(sorted(vs)), tuple(sorted(canon)))
 

@@ -243,6 +243,18 @@ def gerst_decomposition_count(g: Graph) -> int:
     )
 
 
+def oracle_derivation_column(g: Graph, s: tuple, mirrored: bool = False) -> dict:
+    """The derivation of the basis element on the b-vertices s, by its
+    defining rule: the coefficient of s + {v} is (-1)^#{u in s : u < v}.
+    mirrored=True counts u > v instead, the sign of a negative control."""
+    out = {}
+    for v in g.vertices:
+        if v not in s:
+            counted = sum(1 for u in s if (u > v if mirrored else u < v))
+            out[tuple(sorted(s + (v,)))] = -1 if counted % 2 else 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Leading terms by elimination, and normality by quadratic divisors: the
 # oracle for the library's edge rule.

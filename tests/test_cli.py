@@ -142,7 +142,7 @@ def test_identity_commands_exit_zero(capsys):
 
 @pytest.mark.parametrize("command, module, name, fake", [
     ("grav-dims", "engine", "gravity_dims",
-     lambda g: SimpleNamespace(by_degree={0: 1}, total=1)),
+     lambda g: {0: 1}),
     ("check-gravity", "engine", "check_gravity_relations",
      lambda g, cap: SimpleNamespace(tube_results=[((1, 2), False)], total_holds=True,
                                     all_hold=False)),

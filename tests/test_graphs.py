@@ -50,6 +50,17 @@ def test_make_graph_errors():
         make_graph([0, 1], [])
 
 
+def test_make_graph_checks_endpoints_before_loops():
+    # an edge from a missing or non-label endpoint to itself is dangling,
+    # not a loop: the loop check only applies to edges between vertices
+    with pytest.raises(DanglingEndpointError, match=r"edge \(7,7\)"):
+        make_graph([1], [[7, 7]])
+    with pytest.raises(DanglingEndpointError, match=r"edge \(True,True\)"):
+        make_graph([1], [[True, True]])
+    with pytest.raises(LoopEdgeError, match=r"loop edge \(1,1\)"):
+        make_graph([1], [[1, 1]])
+
+
 def test_make_graph_rejects_bool_labels():
     with pytest.raises(GraphError):
         make_graph([True, 2], [(True, 2)])

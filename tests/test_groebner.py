@@ -352,7 +352,7 @@ def test_grav_normal_counts_match_kernel_dims(classes_upto_5):
         by_weight = {}
         for ns in normal_monomials(g, "grav"):
             by_weight[len(ns)] = by_weight.get(len(ns), 0) + 1
-        dims = gravity_dims(g).by_degree
+        dims = gravity_dims(g)
         for k in range(g.n + 1):
             assert by_weight.get(k, 0) == dims.get(k, 0)
 
