@@ -9,7 +9,6 @@ calculus, and the cellular chain complex certifying the quadratic presentations.
 from .engine import (
     GRCOM,
     GRGERST,
-    GravityRelationReport,
     GrComX,
     RelationSet,
     check_axioms,

@@ -10,11 +10,12 @@ through one JSON encoder.  The nested-set listings (``nested``, ``maximal``)
 are streamed in the json and the text form alike: their count comes first,
 from the face recursion, and each set is written as the walk yields it, so
 no listing is ever held whole; a walk that yields a different number of sets
-fails the identity check.  Every refusal comes before the first byte.  Exit
-codes: 0 success, 1 input error, 2 a mathematical identity check failed.
-The vertex cap defaults to the GRAKIT_CAP environment variable when set;
-``grav-dims`` ignores it.  ``sweep`` computes its rows one after another in
-the calling process.
+fails the identity check.  Every refusal comes before the first byte, and a
+format the command lacks is refused before any work.  Exit codes: 0 success,
+1 input error, 2 a mathematical identity check failed.  The vertex cap
+defaults to the GRAKIT_CAP environment variable when set; ``grav-dims``
+ignores it.  ``sweep`` checks every row's host against it before it computes
+any row, then computes the rows one after another in the calling process.
 """
 
 from __future__ import annotations
@@ -105,8 +106,6 @@ def _emit(report: dict, fmt: str, csv_parts) -> None:
     text prints each value as its JSON text reads back, so tuples show as the
     json form's lists, and writes a streamed list item by item, as json does."""
     if fmt == "csv":
-        if csv_parts is None:
-            raise GraphError("this command has no csv form")
         rows, header = csv_parts
         print(",".join(header))
         for row in rows:
@@ -168,8 +167,6 @@ def _cmd_maximal(g, args):
 
 
 def _cmd_tree(g, args):
-    if args.format != "dot":
-        raise GraphError("tree has only a dot form")
     ns = _load_nested(g, args.tau, args.cap)
     dot = nested_tree(ns).to_dot()
     print(dot)
@@ -205,13 +202,11 @@ def _cmd_grav_dims(g, args):
 
 
 def _cmd_check_gravity(g, args):
-    rep = engine.check_gravity_relations(g, cap=args.cap)
+    results, total = engine.check_gravity_relations(g, cap=args.cap)
     report = {
-        "tube_relations": [
-            {"tube": list(t), "holds": ok} for t, ok in rep.tube_results
-        ],
-        "total_relation_holds": rep.total_holds,
-        "ok": rep.all_hold,
+        "tube_relations": [{"tube": list(t), "holds": ok} for t, ok in results],
+        "total_relation_holds": total,
+        "ok": total and all(ok for _, ok in results),
     }
     return report, None
 
@@ -265,12 +260,12 @@ def _cmd_axioms(g, args):
     out = {}
     ok = True
     for name, model in (("grcom", engine.GRCOM), ("gerst", engine.GRGERST)):
-        rep = engine.check_axioms(model, g, cap=args.cap)
+        violations = engine.check_axioms(model, g, cap=args.cap)
         out[name] = {
-            "passed": rep.passed,
-            "violations": [list(v) for v in rep.violations[:20]],
+            "passed": not violations,
+            "violations": [list(v) for v in violations[:20]],
         }
-        ok = ok and rep.passed
+        ok = ok and not violations
     report = {"models": out, "ok": ok}
     return report, None
 
@@ -292,8 +287,11 @@ def _cmd_sweep(args):
     if hi < lo:
         raise GraphError(f"range {args.range!r} is empty: {hi} is below {lo}")
     ns = range(lo, hi + 1)
-    values = [_SWEEP_VALUES[args.command](family(args.family, n), args.system, args.cap)
-              for n in ns]
+    hosts = []
+    for n in ns:  # every row's host is refused, if at all, before any row is computed
+        hosts.append(family(args.family, n))
+        _check_host(hosts[-1], args.cap)
+    values = [_SWEEP_VALUES[args.command](g, args.system, args.cap) for g in hosts]
     rows = [[args.family, n, args.command, v] for n, v in zip(ns, values)]
     report = {
         "family": args.family,
@@ -314,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     still returns a fresh namespace."""
     parser = _Parser(prog="grakit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    no_csv = {"csv": "this command has no csv form"}  # a command's refused formats, with their refusals
 
-    def add(name, fn, *, graph=True, fmt="json", extra=()):
+    def add(name, fn, *, graph=True, fmt="json", refuse=no_csv, extra=()):
         p = sub.add_parser(name)
         if graph:
             p.add_argument("--graph", required=True, help="family shorthand, JSON, or file path")
@@ -323,28 +322,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=None, help="vertex cap override")
         for flag, kw in extra:
             p.add_argument(flag, **kw)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, refuse=refuse)
 
-    add("tubes", _cmd_tubes)
+    add("tubes", _cmd_tubes, refuse={})
     add("nested", _cmd_nested, extra=[("--augmented", dict(action="store_true"))])
     add("maximal", _cmd_maximal)
-    add("tree", _cmd_tree, fmt="dot", extra=[("--tau", dict(required=True, help="nested set JSON"))])
-    add("fvector", _cmd_fvector)
-    add("hpoly", _cmd_hpoly)
-    add("betti", _cmd_betti)
+    add("tree", _cmd_tree, fmt="dot", refuse=dict.fromkeys(("json", "csv", "text"), "tree has only a dot form"),
+        extra=[("--tau", dict(required=True, help="nested set JSON"))])
+    add("fvector", _cmd_fvector, refuse={})
+    add("hpoly", _cmd_hpoly, refuse={})
+    add("betti", _cmd_betti, refuse={})
     add("grav-dims", _cmd_grav_dims)
     add("check-gravity", _cmd_check_gravity)
-    add("relations", _cmd_relations, extra=[
+    add("relations", _cmd_relations, refuse={}, extra=[
         ("--system", dict(required=True, choices=("grav", "hyper"))),
     ])
     add("koszul-check", _cmd_koszul_check)
-    add("normal-count", _cmd_normal_count, extra=[
+    add("normal-count", _cmd_normal_count, refuse={}, extra=[
         ("--system", dict(required=True, choices=groebner.SYSTEMS)),
     ])
     add("reduce", _cmd_reduce, extra=[("--tau", dict(required=True))])
     add("induce", _cmd_induce, extra=[("--omega", dict(required=True))])
     add("axioms", _cmd_axioms)
-    add("sweep", _cmd_sweep, graph=False, fmt="csv", extra=[
+    add("sweep", _cmd_sweep, graph=False, fmt="csv", refuse={}, extra=[
         ("--family", dict(required=True, choices=("path", "cycle", "complete", "star"))),
         ("--range", dict(required=True, help="like 2..6")),
         ("--command", dict(required=True, choices=_SWEEP_VALUES)),
@@ -357,6 +357,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.format in args.refuse:  # before any work
+            raise GraphError(args.refuse[args.format])
         if args.cap is None:
             args.cap = _default_cap()
         if "graph" in args:

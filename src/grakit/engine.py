@@ -21,9 +21,14 @@ the library builds itself are never re-checked.
 Coefficients are integers: every structure constant of these models is a
 sign, so nothing divides.  The arithmetic is whatever the caller's numbers
 do, so elements with exact rational coefficients stay exact.  Vertex subsets
-are bitmasks of the host (bit i is the i-th smallest label).  The gravity
-check and the axiom suite walk the host's tube table, and build each graph
-a composition needs from masks with ``graphs._reconnect``.
+are bitmasks of the host (bit i is the i-th smallest label), and each graph
+a composition needs is built from masks with ``graphs._reconnect``.
+
+The gravity relations are written once, as ``gravity_relations``' vectors
+over the weight-two monomials {T, V}: the Koszul pairing reads them, and
+``check_gravity_relations`` evaluates them in the square-zero model.  The
+checks return plain tuples: (tube, holds) pairs with the total's verdict,
+and the (axiom, detail) violations of ``check_axioms``.
 
 Linear data is sparse columns, the form ``exactla`` ranks: the derivation's
 images of basis elements, and relation vectors as {basis position:
@@ -193,49 +198,6 @@ def gravity_generator(g: Graph) -> Element:
     return _derive(g, ())
 
 
-@dataclass(frozen=True)
-class GravityRelationReport:
-    host: Graph
-    tube_results: tuple  # ((tube, holds), ...) for tubes of size 2..n-1
-    total_holds: bool    # the full-graph sum vanishes
-
-    @property
-    def all_hold(self) -> bool:
-        return self.total_holds and all(ok for _, ok in self.tube_results)
-
-
-def check_gravity_relations(g: Graph, cap: int = DEFAULT_CAP) -> GravityRelationReport:
-    """Exact check of the gravity relations inside the square-zero model.
-
-    Every proper tube T composes the gravity generator of the reconnected
-    complement against that of the induced graph on T; on a vertex v the
-    inner generator is b_v.  For every tube T with 2 <= |T| < n, the sum
-    over v in T of the one-vertex compositions equals the composition at T;
-    the sum over all vertices vanishes.
-    """
-    _check_host(g, cap)
-    if g.n < 2:
-        raise ValueError("relations need at least two vertices")
-    full = (1 << g.n) - 1
-
-    def lam(m: int, t: tuple[int, ...]) -> Element:
-        return GRGERST.circ(g, t, gravity_generator(_reconnect(g, full & ~m, m)),
-                            gravity_generator(_reconnect(g, m, 0)))
-
-    def total(elements) -> Element:
-        out: Element = {}
-        for x in elements:
-            for k, c in x.items():
-                out[k] = out.get(k, 0) + c
-        return {k: c for k, c in out.items() if c}
-
-    labels = _tube_table(g)[0]
-    single = {t[0]: lam(m, t) for m, t in labels.items() if len(t) == 1}
-    results = tuple((t, total(single[v] for v in t) == lam(m, t))
-                    for m, t in labels.items() if len(t) >= 2 and m != full)
-    return GravityRelationReport(g, results, not total(single.values()))
-
-
 # ---------------------------------------------------------------------------
 # Weight-two relation spaces over the free one-generator-per-graph basis.
 # ---------------------------------------------------------------------------
@@ -267,7 +229,7 @@ class RelationSet:
 
 def free_weight2_basis(g: Graph, cap: int = DEFAULT_CAP) -> list[NestedSet]:
     """Weight-two monomials: one per proper tube T, the shape {T, V},
-    in ascending subset order of T."""
+    in the ≺ order of T (``tubings.prec_key``)."""
     _check_host(g, cap)
     if g.n < 2:
         raise ValueError("weight-two basis needs at least two vertices")
@@ -306,30 +268,44 @@ def relation_pairing(r1: RelationSet, r2: RelationSet) -> list[list[int]]:
     return [[sum(a * y[i] for i, a in x.items() if i in y) for y in r2.vectors] for x in r1.vectors]
 
 
+def check_gravity_relations(g: Graph, cap: int = DEFAULT_CAP) -> tuple[tuple, bool]:
+    """Evaluate each vector of ``gravity_relations`` in the square-zero model
+    and check that it vanishes.  The monomial {T, V} is the composition at T
+    of the gravity generator of the reconnected complement against that of
+    the tube (b_v on a vertex v).  Returns (((T, holds), ...), total_holds)
+    for the tubes with 2 <= |T| < n in canonical tube-table order."""
+    rel = gravity_relations(g, cap)
+    labels = _tube_table(g)[0]
+    full = (1 << g.n) - 1
+    masks = [ns.masks[0] for ns in rel.basis]
+    value = [GRGERST.circ(g, labels[m], gravity_generator(_reconnect(g, full & ~m, m)),
+                          gravity_generator(_reconnect(g, m, 0))) for m in masks]
+
+    def vanishes(vector: dict[int, int]) -> bool:
+        out: Element = {}
+        for i, c in vector.items():
+            for k, x in value[i].items():
+                out[k] = out.get(k, 0) + c * x
+        return not any(out.values())
+
+    # the vectors come one per basis tube of two or more vertices, then the total
+    *holds, total = map(vanishes, rel.vectors)
+    results = dict(zip((m for m in masks if m & (m - 1)), holds))
+    return tuple((t, results[m]) for m, t in labels.items() if m in results), total
+
+
 # ---------------------------------------------------------------------------
 # Axiom checks.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomReport:
-    host: Graph
-    violations: tuple  # (axiom name, detail string)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def failed_axioms(self) -> set[str]:
-        return {name for name, _ in self.violations}
-
-
-def check_axioms(model: GrComX, g: Graph, cap: int = DEFAULT_CAP) -> AxiomReport:
+def check_axioms(model: GrComX, g: Graph, cap: int = DEFAULT_CAP) -> tuple[tuple[str, str], ...]:
     """Verify the unit, parallel, consecutive, and equivariance identities of
     the structure maps on every basis element of the model over g.
 
-    Tubes are walked as masks in the canonical order of the host's tube
-    table; the reconnected complement and the induced graph of each tube
-    are built once.
+    Returns the violations as (axiom, detail) pairs, none when every axiom
+    holds.  Tubes are walked as masks in the canonical order of the host's
+    tube table; the reconnected complement and the induced graph of each
+    tube are built once.
     """
     _check_host(g, cap)
     violations = []
@@ -386,4 +362,4 @@ def check_axioms(model: GrComX, g: Graph, cap: int = DEFAULT_CAP) -> AxiomReport
                 rhs = model.circ(g, at, model.relabel(alpha, x), model.relabel(alpha, y))
                 if lhs != rhs:
                     violations.append(("equivariance", f"alpha={alpha} tube {t} on {x},{y}"))
-    return AxiomReport(g, tuple(violations))
+    return tuple(violations)

@@ -191,10 +191,10 @@ def test_criterion_08_gravity_relations(classes_upto_5):
         for g in classes_upto_5:
             if g.n < 2:
                 continue
-            rep = check_gravity_relations(g)
-            assert rep.all_hold, g
+            results, total = check_gravity_relations(g)
+            assert total and all(ok for _, ok in results), g
             expected_tubes = sum(1 for t in proper_tubes(g) if len(t) >= 2)
-            assert len(rep.tube_results) == expected_tubes
+            assert len(results) == expected_tubes
 
 
 def test_criterion_09_koszul_pairing(classes_upto_6):
@@ -261,8 +261,8 @@ def test_criterion_12_axiom_suite(classes_upto_4):
                        "both models on <= 4 vertices; the sign-mutated model "
                        "is rejected"):
         for g in classes_upto_4:
-            assert check_axioms(GRCOM, g).passed, g
-            assert check_axioms(GRGERST, g).passed, g
+            assert not check_axioms(GRCOM, g), g
+            assert not check_axioms(GRGERST, g), g
         broken = check_axioms(BROKEN_GERST, family("path", 3))
-        assert not broken.passed
-        assert "consecutive" in broken.failed_axioms()
+        assert broken
+        assert "consecutive" in {name for name, _ in broken}

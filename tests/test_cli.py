@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -78,8 +77,22 @@ def test_sweep_single_row_and_counts(capsys):
 
 
 def test_sweep_worker_refusal_is_one_line_error(capsys):
-    # the refusal of the last row comes after the first rows were computed
+    # the last row's host is refused before the first row is computed
     code, out, err = run(capsys, *SWEEP, "--range", "8..10")
+    assert code == 1 and out == ""
+    assert err == "grakit: error: 10 vertices exceeds cap 9\n"
+
+
+def test_sweep_refuses_every_row_before_computing_any(capsys, monkeypatch):
+    # grav-dim rows are capped too: the rows past path:9 would run for hours
+    import grakit.cli as cli
+
+    def compute(g):
+        pytest.fail("a row was computed before every host was checked")
+
+    monkeypatch.setattr(cli.engine, "gravity_dims", compute)
+    code, out, err = run(capsys, "sweep", "--family", "path", "--range", "2..30",
+                         "--command", "grav-dim")
     assert code == 1 and out == ""
     assert err == "grakit: error: 10 vertices exceeds cap 9\n"
 
@@ -144,10 +157,9 @@ def test_identity_commands_exit_zero(capsys):
     ("grav-dims", "engine", "gravity_dims",
      lambda g: {0: 1}),
     ("check-gravity", "engine", "check_gravity_relations",
-     lambda g, cap: SimpleNamespace(tube_results=[((1, 2), False)], total_holds=True,
-                                    all_hold=False)),
+     lambda g, cap: ((((1, 2), False),), True)),
     ("axioms", "engine", "check_axioms",
-     lambda model, g, cap: SimpleNamespace(passed=False, violations=[])),
+     lambda model, g, cap: (("unit", "stub"),)),
     ("koszul-check", "groebner", "koszul_check", lambda g, cap: {0: 2, 1: 1}),
 ], ids=["grav-dims", "check-gravity", "axioms", "koszul-check"])
 def test_identity_failure_exits_two(capsys, monkeypatch, command, module, name, fake):
@@ -305,6 +317,22 @@ def test_disconnected_host_is_one_line_error(capsys, command):
 ])
 def test_csv_without_csv_form_is_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--graph", "path:3", "--format", "csv")
+    assert code == 1 and out == ""
+    assert err == "grakit: error: this command has no csv form\n"
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("koszul-check", "groebner", "koszul_check"),
+    ("axioms", "engine", "check_axioms"),
+])
+def test_csv_is_refused_before_the_library_call(capsys, monkeypatch, command, module, name):
+    import grakit.cli as cli
+
+    def compute(*args, **kwargs):
+        pytest.fail("the command ran before its format was refused")
+
+    monkeypatch.setattr(getattr(cli, module), name, compute)
+    code, out, err = run(capsys, command, "--graph", "complete:7", "--format", "csv")
     assert code == 1 and out == ""
     assert err == "grakit: error: this command has no csv form\n"
 
