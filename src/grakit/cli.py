@@ -257,17 +257,10 @@ def _cmd_induce(g, args):
 
 
 def _cmd_axioms(g, args):
-    out = {}
-    ok = True
-    for name, model in (("grcom", engine.GRCOM), ("gerst", engine.GRGERST)):
-        violations = engine.check_axioms(model, g, cap=args.cap)
-        out[name] = {
-            "passed": not violations,
-            "violations": [list(v) for v in violations[:20]],
-        }
-        ok = ok and not violations
-    report = {"models": out, "ok": ok}
-    return report, None
+    found = {name: engine.check_axioms(model, g, cap=args.cap)
+             for name, model in (("grcom", engine.GRCOM), ("gerst", engine.GRGERST))}
+    models = {name: {"passed": not v, "violations": [list(x) for x in v[:20]]} for name, v in found.items()}
+    return {"models": models, "ok": not any(found.values())}, None
 
 
 _SWEEP_VALUES = {

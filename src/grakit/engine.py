@@ -6,10 +6,11 @@ structure maps composing data on a reconnected complement with data on the
 removed part.  The models here are the commutative reconnectads of two
 graded objects: GrCom, with one generator m of degree 0, and the square-zero
 model, with m and one generator b of degree 1.  A structure map concatenates
-the keys of its factors; the Koszul sign counts the pairs of that
-concatenation that are out of ascending vertex order.  This single
-convention fixes all signs, and is validated by the derivation squaring to
-zero and by the axiom suite.
+the keys of its factors; the Koszul sign is the parity of the pairs of that
+concatenation out of ascending vertex order, counted by bitwise popcounts.
+This one convention fixes all signs.  The derivation squaring to zero and the
+axiom suite validate it; equivariance is checked on a generating set of
+Aut(G), ``graphs.automorphism_generators``.
 
 Every element of either model, over any graph, has one form: a plain
 {key: coefficient} dict whose keys are the ascending tuples of the vertices
@@ -43,13 +44,14 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exactla import QMatrix, _rank_exact
 from .graphs import (
     Graph,
     _bit_index,
     _reconnect,
-    automorphisms,
+    automorphism_generators,
     component_masks,
     labels_of,
     mask_of,
@@ -62,9 +64,18 @@ Element = dict
 
 
 def _inversion_sign(seq: list[int]) -> int:
-    """Sign of the permutation that sorts seq ascending."""
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    """Sign of sorting seq (distinct ints >= 0): its inversions' parity, by
+    popcounts.  Callers pass positions, not labels, so no shift grows with a label."""
+    inv = seen = 0
+    for v in seq:
+        inv += (seen >> v).bit_count()
+        seen |= 1 << v
     return -1 if inv % 2 else 1
+
+
+@lru_cache(maxsize=1 << 14)  # compose's arity: the components of v, counted once per (host, v)
+def _component_count(g: Graph, v: tuple[int, ...]) -> int:
+    return len(component_masks(g, mask_of(g, v)))
 
 
 @dataclass(frozen=True)
@@ -87,39 +98,40 @@ class GrComX:
         return [tuple(itertools.compress(g.vertices, p)) for p in picks]
 
     def _merge_sign(self, seq: list[int]) -> int:
-        """seq lists the odd vertices in concatenation order; the sign sorts
-        them into ascending vertex order."""
+        """seq lists the bit positions of the odd vertices in concatenation
+        order; the sign sorts them into ascending vertex order."""
         return _inversion_sign(seq)
 
     def compose(self, g: Graph, v: tuple[int, ...], outer: Element, parts: list[Element]) -> Element:
         """Structure map at a vertex subset v: outer lives on the reconnected
         complement, one inner factor per component of the induced subgraph on
         v, components ordered by minimum vertex."""
-        ncomp = len(component_masks(g, mask_of(g, v)))
+        ncomp = _component_count(g, tuple(v))
         if ncomp != len(parts):
             raise ValueError(f"expected {ncomp} inner factors, got {len(parts)}")
+        idx = _bit_index(g)
         out: Element = {}
         for combo in itertools.product(outer.items(), *[p.items() for p in parts]):
-            seq = []
-            coeff = 1
+            seq, coeff = [], 1
             for key, c in combo:
                 seq += key
                 coeff *= c
             key = tuple(sorted(seq))
-            out[key] = out.get(key, 0) + self._merge_sign(seq) * coeff
+            out[key] = out.get(key, 0) + self._merge_sign([idx[u] for u in seq]) * coeff
         return {k: c for k, c in out.items() if c}
 
     def circ(self, g: Graph, t: tuple[int, ...], x: Element, y: Element) -> Element:
         """Tube composition: x on the reconnected complement, y on the tube."""
-        return self.compose(g, tuple(t), x, [y])
+        return self.compose(g, t, x, [y])
 
     def relabel(self, alpha: dict, x: Element) -> Element:
         """Push an element along a vertex bijection, with the Koszul sign of
         permuting the odd factors."""
         out: Element = {}
         for key, c in x.items():
-            images = [alpha[u] for u in key]
-            out[tuple(sorted(images))] = _inversion_sign(images) * c  # alpha is a bijection: keys never collide
+            images = [alpha[u] for u in key]  # their argsort has their inversions, on small ints
+            sign = _inversion_sign(sorted(range(len(key)), key=images.__getitem__))
+            out[tuple(sorted(images))] = sign * c  # alpha is a bijection: keys never collide
         return out
 
     def unit(self) -> Element:
@@ -303,9 +315,13 @@ def check_axioms(model: GrComX, g: Graph, cap: int = DEFAULT_CAP) -> tuple[tuple
     the structure maps on every basis element of the model over g.
 
     Returns the violations as (axiom, detail) pairs, none when every axiom
-    holds.  Tubes are walked as masks in the canonical order of the host's
-    tube table; the reconnected complement and the induced graph of each
-    tube are built once.
+    holds.  Tubes are walked as masks in the tube table's order; each tube's
+    reconnected complement and induced graph are built once.
+
+    Equivariance is checked on a generating set of Aut(G) only.  That is
+    sound because ``relabel`` is a group action: if it holds for α and β on
+    every tube and every pair of basis elements, so by linearity on all
+    elements, then (αβ)(x ∘_t y) = α((βx) ∘_βt (βy)) = (αβx) ∘_αβt (αβy).
     """
     _check_host(g, cap)
     violations = []
@@ -353,7 +369,7 @@ def check_axioms(model: GrComX, g: Graph, cap: int = DEFAULT_CAP) -> tuple[tuple
                     violations.append(("consecutive", f"tubes {t1}<{t2} on {x},{y},{z}"))
 
     # equivariance: relabeling commutes with every tube composition
-    for alpha in automorphisms(g, cap):
+    for alpha in automorphism_generators(g, cap):
         for m in ts:
             t = labels[m]
             at = tuple(sorted(alpha[u] for u in t))

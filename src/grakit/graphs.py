@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -273,34 +273,49 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     return make_graph(g1.vertices + g2.vertices, g1.edges + g2.edges)
 
 
-def automorphisms(g: Graph, cap: int = DEFAULT_CAP) -> list[dict[int, int]]:
-    """All adjacency-preserving vertex bijections, sorted by image tuple.
-
-    Backtracks over bit positions on the adjacency masks: position i may go
-    to any unused position w of the same degree whose neighbours among the
-    images already used are exactly the images of i's earlier neighbours.
-    Images are tried in ascending order, so the list comes out sorted.
-    `cap` guards the search.
-    """
+def _automorphism_search(g: Graph, cap: int, prefix: tuple[int, ...] = ()) -> Iterator[dict[int, int]]:
+    """The one automorphism backtracker, over bit positions: position i may
+    go to each unused w (prefix[i] alone, if given) of its degree whose
+    neighbours among the used images are the images of i's earlier
+    neighbours.  w ascends, so the maps come sorted by image tuple."""
     if g.n > cap:
         raise CapExceededError(f"automorphism search capped at {cap} vertices")
-    vs = g.vertices
     adj = _adjacency(g)
-    out: list[dict[int, int]] = []
     image = [0] * g.n
 
-    def extend(i: int, used: int) -> None:
+    def extend(i: int, used: int) -> Iterator[dict[int, int]]:
         if i == g.n:
-            out.append({vs[a]: vs[b] for a, b in enumerate(image)})
+            yield {g.vertices[a]: g.vertices[b] for a, b in enumerate(image)}
             return
         deg = adj[i].bit_count()
         want = 0
         for u in range(i):
             want |= (adj[i] >> u & 1) << image[u]
-        for w in range(g.n):
+        for w in prefix[i:i + 1] or range(g.n):
             if not used >> w & 1 and adj[w].bit_count() == deg and adj[w] & used == want:
                 image[i] = w
-                extend(i + 1, used | 1 << w)
+                yield from extend(i + 1, used | 1 << w)
 
-    extend(0, 0)
-    return out
+    return extend(0, 0)
+
+
+def automorphisms(g: Graph, cap: int = DEFAULT_CAP) -> list[dict[int, int]]:
+    """All adjacency-preserving vertex bijections, sorted by image tuple."""
+    return list(_automorphism_search(g, cap))
+
+
+def automorphism_generators(g: Graph, cap: int = DEFAULT_CAP) -> list[dict[int, int]]:
+    """Generators of Aut(G), none the identity, by orbit pruning down the
+    stabilizer chain: level i = n-1..0 keeps the first map fixing 0..i-1 and
+    sending i to each w > i not yet in i's orbit under the maps kept so far."""
+    if g.n > cap:
+        raise CapExceededError(f"automorphism search capped at {cap} vertices")
+    vs, gens = g.vertices, []
+    for i in reversed(range(g.n)):
+        orbit = {vs[i]}
+        for w in range(i + 1, g.n):
+            if vs[w] not in orbit and (alpha := next(_automorphism_search(g, cap, (*range(i), w)), None)):
+                gens.append(alpha)
+                while grown := {a[u] for a in gens for u in orbit} - orbit:
+                    orbit |= grown
+    return gens

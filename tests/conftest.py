@@ -532,13 +532,21 @@ def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
 # Negative control.
 # ---------------------------------------------------------------------------
 
+def oracle_inversion_sign(seq) -> int:
+    """Sign of the permutation sorting seq ascending, by counting every
+    out-of-order pair."""
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
+
+
 class _DescendingMergeGrComX(GrComX):
     """Square-zero model whose merge sign sorts the odd factors into
     descending vertex order: a sign mutation that breaks the consecutive
-    axiom."""
+    axiom.  Sorting seq descending takes as many swaps as sorting its
+    reverse ascending: C(L, 2) minus the inversions of seq."""
 
     def _merge_sign(self, seq: list[int]) -> int:
-        return _inversion_sign([-v for v in seq])
+        return _inversion_sign(seq[::-1])
 
 
 BROKEN_GERST = _DescendingMergeGrComX((0, 1))

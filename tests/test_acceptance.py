@@ -256,11 +256,11 @@ def test_criterion_11_reduction_induction(classes_upto_6):
             assert len(images) == len(normals), g
 
 
-def test_criterion_12_axiom_suite(classes_upto_4):
+def test_criterion_12_axiom_suite(classes_upto_5):
     with criterion(12, "unit, parallel, consecutive, equivariance pass for "
-                       "both models on <= 4 vertices; the sign-mutated model "
-                       "is rejected"):
-        for g in classes_upto_4:
+                       "both models on <= 5 vertices and complete:6; the "
+                       "sign-mutated model is rejected"):
+        for g in classes_upto_5 + [family("complete", 6)]:
             assert not check_axioms(GRCOM, g), g
             assert not check_axioms(GRGERST, g), g
         broken = check_axioms(BROKEN_GERST, family("path", 3))

@@ -449,11 +449,11 @@ _NESTED_JSON = st.one_of(
 ).map(json.dumps) | _JUNK | st.sampled_from(['{"tubes": [[1], [1, 2]]}', '{"tubes": [[2, 3], [1, 2, 3]]}'])
 
 # Every command that honours --cap, with the options it takes.  grav-dims is
-# left out because it ignores the cap, and axioms because complete:6 runs past
-# a minute inside the default cap.  Hosts of 6 to 9 vertices are left out only
-# for speed: the refusal is n > cap, which n >= 10 already meets.
+# left out because it ignores the cap.  Hosts of 6 to 9 vertices are left out
+# only for speed: the refusal is n > cap, which n >= 10 already meets.
 _CAPPED = {
     "tubes": st.just([]), "fvector": st.just([]), "hpoly": st.just([]), "koszul-check": st.just([]),
+    "axioms": st.just([]),
     "nested": st.sampled_from([[], ["--augmented"]]),
     "tree": _NESTED_JSON.map(lambda tau: [f"--tau={tau}"]),
     "reduce": _NESTED_JSON.map(lambda tau: [f"--tau={tau}"]),

@@ -14,6 +14,7 @@ from grakit import (
     GrComX,
     NotConnectedError,
     RelationSet,
+    automorphisms,
     betti,
     check_axioms,
     check_gravity_relations,
@@ -34,6 +35,7 @@ from grakit import (
 )
 from grakit import engine
 from grakit.exactla import _rank_exact
+from grakit.graphs import automorphism_generators
 from conftest import (
     BROKEN_GERST,
     gerst_decomposition_count,
@@ -41,6 +43,7 @@ from conftest import (
     kernel_basis,
     matmul,
     oracle_derivation_column,
+    oracle_inversion_sign,
     relabelled,
 )
 
@@ -380,6 +383,105 @@ def test_broken_model_fails_consecutive():
     violations = check_axioms(BROKEN_GERST, family("path", 3))
     assert violations
     assert "consecutive" in {name for name, _ in violations}
+
+
+def _relabel_action_failures(model: GrComX, g) -> list:
+    """The (α, β, key) with relabel(α, relabel(β, e_key)) != relabel(α∘β,
+    e_key), over all automorphisms α, β of g and every basis key.  Each
+    relabelling of a basis element is computed once, so the check is a table
+    lookup per triple."""
+    vs = g.vertices
+    group = automorphisms(g)
+    table = {tuple(a[v] for v in vs): {key: model.relabel(a, {key: 1}) for key in model.basis(g)}
+             for a in group}
+    failures = []
+    for alpha in group:
+        for beta in group:
+            ab = table[tuple(alpha[beta[v]] for v in vs)]
+            for key, image in table[tuple(beta[v] for v in vs)].items():
+                (k, c), = image.items()
+                (k2, c2), = table[tuple(alpha[v] for v in vs)][k].items()
+                if ab[key] != {k2: c * c2}:
+                    failures.append((alpha, beta, key))
+    return failures
+
+
+def test_relabel_is_a_group_action(classes_upto_5):
+    # the soundness of checking equivariance on a generating set only
+    for g in classes_upto_5:
+        for model in (GRCOM, GRGERST):
+            assert not _relabel_action_failures(model, g), g
+
+
+class _UnsignedRelabel(GrComX):
+    """Square-zero model whose relabelling drops the Koszul sign."""
+
+    def relabel(self, alpha, x):
+        return {tuple(sorted(alpha[u] for u in key)): c for key, c in x.items()}
+
+
+def test_unsigned_relabel_fails_equivariance():
+    # negative control: the generators alone see a relabelling without sign
+    for kind, n in (("path", 3), ("cycle", 4), ("star", 4), ("complete", 4)):
+        violations = check_axioms(_UnsignedRelabel((0, 1)), family(kind, n))
+        assert violations and {name for name, _ in violations} == {"equivariance"}, (kind, n)
+
+
+def test_relabel_mutated_off_the_generators_needs_the_action_test():
+    # negative control: a relabelling wrong on one automorphism outside the
+    # generating set breaks the action, and the action test sees it.
+    # check_axioms only relabels along the generators, so it alone cannot.
+    g = family("complete", 4)
+    gens = automorphism_generators(g)
+    bad = next(a for a in automorphisms(g) if a not in gens and any(a[v] != v for v in g.vertices))
+
+    class Mutated(GrComX):
+        def relabel(self, alpha, x):
+            out = super().relabel(alpha, x)
+            return {k: -c for k, c in out.items()} if alpha == bad else out
+
+    mutated = Mutated((0, 1))
+    assert _relabel_action_failures(mutated, g)
+    assert not check_axioms(mutated, g)
+
+
+def test_inversion_sign_matches_the_pair_count():
+    rng = random.Random(21)
+    for _ in range(2000):
+        seq = rng.sample(range(rng.choice((12, 64))), rng.randint(0, 12))
+        assert engine._inversion_sign(seq) == oracle_inversion_sign(seq), seq
+
+
+def test_descending_merge_sign_is_the_negated_labels_mutation():
+    # the control model reverses the sequence instead of negating its
+    # entries: both give C(L, 2) minus the inversions of seq
+    rng = random.Random(22)
+    for _ in range(500):
+        seq = rng.sample(range(20), rng.randint(0, 9))
+        assert BROKEN_GERST._merge_sign(seq) == oracle_inversion_sign([-v for v in seq]), seq
+
+
+def test_component_count_cache_is_bounded():
+    from grakit.graphs import connected_components
+
+    cached = engine._component_count
+    assert cached.cache_info().maxsize is not None
+    cached.cache_clear()
+    # more (host, subset) pairs than the cache holds: paths shifted along the labels
+    hosts = [make_graph([k + 1, k + 2, k + 3], [(k + 1, k + 2), (k + 2, k + 3)])
+             for k in range(cached.cache_info().maxsize // 7 + 5)]
+    for h in hosts:
+        for r in range(h.n + 1):
+            for v in itertools.combinations(h.vertices, r):
+                parts = len(connected_components(induced(h, v)))
+                assert GRCOM.compose(h, v, {(): 1}, [{(): 1}] * parts) == {(): 1}
+    info = cached.cache_info()
+    assert info.currsize == info.maxsize and info.misses > info.maxsize
+    p3 = family("path", 3)
+    with pytest.raises(ValueError, match="expected 2 inner factors"):
+        GRCOM.compose(p3, (1, 3), {(): 1}, [{(): 1}])  # counted again after eviction
+    GRCOM.compose(p3, (1, 3), {(): 1}, [{(): 1}] * 2)
+    assert cached.cache_info().hits == info.hits + 1
 
 
 def test_kernel_matches_gravity_dims():

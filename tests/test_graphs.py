@@ -21,6 +21,7 @@ from grakit import (
     parse_graph,
     reconnected_complement,
 )
+from grakit.graphs import automorphism_generators
 from conftest import oracle_automorphisms, oracle_reconnected_edges, relabelled
 
 
@@ -243,6 +244,59 @@ def test_automorphism_cap():
     with pytest.raises(CapExceededError):
         automorphisms(family("path", 11))
     assert len(automorphisms(family("path", 11), cap=11)) == 2
+
+
+def _closure(g, gens) -> set:
+    """Image tuples of the group the maps generate, from the identity by
+    composing with the generators until nothing new appears."""
+    vs = g.vertices
+    group, todo = {vs}, [vs]
+    while todo:
+        images = dict(zip(vs, todo.pop()))
+        for alpha in gens:
+            composed = tuple(alpha[images[v]] for v in vs)
+            if composed not in group:
+                group.add(composed)
+                todo.append(composed)
+    return group
+
+
+def test_automorphism_generators_generate_the_group(classes_upto_6):
+    # on every class with at most six vertices and on seeded relabelled
+    # copies, the closure of the generating set is the whole automorphism
+    # list; each generator is one of the automorphisms, and none is the identity
+    rng = random.Random(21)
+    for g in classes_upto_6 + [relabelled(g, rng) for g in classes_upto_6]:
+        gens = automorphism_generators(g)
+        every = {tuple(m[v] for v in g.vertices) for m in automorphisms(g)}
+        assert all(tuple(a[v] for v in g.vertices) in every for a in gens), g
+        assert all(any(a[v] != v for v in g.vertices) for a in gens), g
+        assert _closure(g, gens) == every, g
+
+
+def test_automorphism_generator_counts_families():
+    # the counts that orbit pruning down the stabilizer chain gives
+    for n in range(3, 10):
+        counts = [len(automorphism_generators(family(kind, n)))
+                  for kind in ("complete", "path", "cycle", "star")]
+        assert counts == [n - 1, 1, 2, n - 2], n
+    assert automorphism_generators(family("path", 1)) == []
+    assert automorphism_generators(EMPTY_GRAPH) == []
+
+
+def test_automorphism_generators_refuse_as_the_search_does():
+    for g in (EMPTY_GRAPH, family("path", 1), family("path", 3), family("cycle", 10), family("complete", 11)):
+        for cap in (-1, 0, 1, 3, 9, 10):
+            refusals = []
+            for search in (automorphisms, automorphism_generators):
+                try:
+                    search(g, cap)
+                except CapExceededError as exc:
+                    refusals.append(str(exc))
+                else:
+                    refusals.append(None)
+            assert refusals[0] == refusals[1], (g, cap)
+            assert (refusals[0] is None) == (g.n <= cap), (g, cap)
 
 
 def test_neighbors_refuses_a_non_vertex():
