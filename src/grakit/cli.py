@@ -93,8 +93,8 @@ def _write_json(report: dict, out) -> None:
     for i, (key, value) in enumerate(report.items()):
         text += ("," if i else "") + _ENCODER.encode(key) + ":"
         if isinstance(value, Iterator):
-            out.write(text + "[")
-            out.writelines(("," if j else "") + item for j, item in enumerate(value))
+            out.write(text + "[" + next(value, ""))
+            out.writelines(map(",".__add__, value))
             text = "]"
         else:
             text += _ENCODER.encode(value)
@@ -114,8 +114,8 @@ def _emit(report: dict, fmt: str, csv_parts) -> None:
         for key, value in report.items():
             if isinstance(value, Iterator):
                 items = (repr(json.loads(item)) for item in value)
-                sys.stdout.write(f"{key}: [")
-                sys.stdout.writelines((", " if j else "") + item for j, item in enumerate(items))
+                sys.stdout.write(f"{key}: [" + next(items, ""))
+                sys.stdout.writelines(map(", ".__add__, items))
                 print("]")
             else:
                 print(f"{key}: {json.loads(_ENCODER.encode(value))}")

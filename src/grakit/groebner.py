@@ -253,9 +253,9 @@ def is_normal(ns: NestedSet, system: str) -> bool:
 
 
 def normal_monomials(g: Graph, system: str, cap: int = DEFAULT_CAP) -> list[NestedSet]:
-    """Monomials with no leading quadratic divisor, in the deterministic
-    enumeration order.  The grcom system has one generator only on the
-    one-vertex graph, so its monomials are maximal nested sets."""
+    """Monomials with no leading quadratic divisor, in the walk's rank order,
+    no sort: lexicographic in their proper tubes' ranks.  grcom's only
+    generator is on one vertex, so its monomials are maximal nested sets."""
     _check_system(system)
     _check_host(g, cap)
     border = _tube_table(g)[3]

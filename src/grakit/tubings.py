@@ -16,18 +16,18 @@ per-node functions; they go out through ``NestedSet.tubes``, ``to_json`` and
 One per-host table (:func:`_tube_table`) gives every tube mask its labels,
 canonical rank, ≺ key and neighbourhood; :func:`_compat_table` adds the
 compatible tubes, which the one backtracker (:func:`_iter_nested_masks`)
-walks to enumerate nested sets, yielding each as the canonical augmented
-mask tuple a :class:`NestedSet` holds, and one rule (:func:`_mask_tree`)
-derives their trees.  ≺ on subsets is ascending order of the bit-reversed
-mask, so ◁ (the sort key :func:`lex_key`) compares masks.  Face and descent
-counts need no enumeration (see :mod:`grakit.polycomb`).
+walks in rank order, no sort, yielding the nested sets as the masks their
+:class:`NestedSet` holds, lexicographic in their proper tubes' ranks; one rule
+(:func:`_mask_tree`) derives their trees.  ≺ on subsets is the order of
+bit-reversed masks, so ◁ (the sort key :func:`lex_key`) compares masks.
+Face and descent counts need no enumeration (see :mod:`grakit.polycomb`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import or_
 from typing import Container, Iterable, Iterator, Sequence
 
@@ -181,31 +181,30 @@ def _proper_masks(g: Graph) -> list[int]:
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _compat_table(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The per-host compatibility table: proper tube masks in ≺ order and
+    """The per-host compatibility table: proper tube masks in rank order and
     per-tube bitsets of the compatible tubes with larger index.  Bounded
     like :func:`_tube_table`, whose size it squares."""
-    order = _proper_masks(g)
     tset = _tube_table(g)[0]
+    order = tuple(tset)[:-1]  # the full set has the last rank
     comp = [0] * len(order)
-    for j in range(len(order)):
-        for i in range(j + 1, len(order)):
-            if _compatible(tset, order[i], order[j]):
-                comp[j] |= 1 << i
-    return tuple(order), tuple(comp)
+    for j, i in itertools.combinations(range(len(order)), 2):
+        if _compatible(tset, order[i], order[j]):
+            comp[j] |= 1 << i
+    return order, tuple(comp)
 
 
 def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int, ...]]:
     """Depth-first enumeration over compatible families of proper tube
-    masks, visiting tubes in ≺ order; the empty family comes first.  Each
-    family is yielded augmented, in canonical rank order with the full set
-    last: exactly the ``masks`` of its :class:`NestedSet`.
+    masks, visiting tubes in rank order, so each family is canonical as
+    chosen: yielded augmented, with no sort, it is exactly the ``masks`` of
+    its :class:`NestedSet`.  A family precedes its extensions, so families
+    come in lexicographic order of their rank tuples, the empty one first.
 
     With ``size``, only families of exactly that many proper tubes are
     yielded, and a branch is cut once its remaining candidates cannot reach
     the size.
     """
     order, comp = _compat_table(g)
-    rank = _tube_table(g)[1]
     full = ((1 << g.n) - 1,)
     need = size or 0
     chosen: list[int] = []
@@ -224,9 +223,9 @@ def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int,
         j = low.bit_length() - 1
         chosen.append(order[j])
         if size is None:
-            yield tuple(sorted(chosen, key=rank.__getitem__)) + full
+            yield tuple(chosen) + full
         elif len(chosen) == size:
-            yield tuple(sorted(chosen, key=rank.__getitem__)) + full
+            yield tuple(chosen) + full
             chosen.pop()
             continue
         stack.append((a ^ low) & comp[j])
@@ -237,23 +236,24 @@ def enumerate_nested(
     augmented: bool,
     cap: int = DEFAULT_CAP,
 ) -> Iterator[NestedSet]:
-    """Stream the nested set complex of g.
+    """Stream the nested set complex of g, in the walk's rank order, no
+    sort: lexicographic in the canonical ranks of the sets' proper tubes.
 
     With ``augmented`` the full vertex set is a member of every output.
     Without it, only proper tubes appear and the empty family is left out.
     """
     _check_host(g, cap)
-    for ms in _iter_nested_masks(g):
-        if augmented:
-            yield NestedSet(g, ms)
-        elif len(ms) > 1:
-            yield NestedSet(g, ms[:-1])
+    walk = _iter_nested_masks(g)
+    if not augmented:  # the empty family comes first
+        walk = (ms[:-1] for ms in itertools.islice(walk, 1, None))
+    yield from map(partial(NestedSet, g), walk)
 
 
 def maximal_nested(g: Graph, cap: int = DEFAULT_CAP) -> list[NestedSet]:
-    """Augmented nested sets of the maximal cardinality |V|."""
+    """Augmented nested sets of the maximal cardinality |V|, in the walk's
+    rank order, no sort: lexicographic in their proper tubes' ranks."""
     _check_host(g, cap)
-    return [NestedSet(g, ms) for ms in _iter_nested_masks(g, g.n - 1)]
+    return list(map(partial(NestedSet, g), _iter_nested_masks(g, g.n - 1)))
 
 
 # ---------------------------------------------------------------------------

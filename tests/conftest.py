@@ -32,7 +32,14 @@ from grakit import (
 from grakit.engine import _inversion_sign
 from grakit.graphs import component_masks
 from grakit.polycomb import _root_descents
-from grakit.tubings import _iter_nested_masks, _mask_tree, _tube_table, lex_key
+from grakit.tubings import (
+    _compatible,
+    _iter_nested_masks,
+    _mask_tree,
+    _proper_masks,
+    _tube_table,
+    lex_key,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +376,48 @@ def oracle_induction(ns: NestedSet) -> NestedSet:
         tubes.append({v}.union(*(c for c in kids if adj[v] & c)))
         tubes = [set(t) for t in nested_set(g, tubes).tubes]
     return nested_set(g, tubes)
+
+
+# ---------------------------------------------------------------------------
+# The nested-set walk by its earlier route: proper tubes visited in ≺ order,
+# each family sorted into canonical rank order as it is yielded.
+# ---------------------------------------------------------------------------
+
+def prec_order_walk(g: Graph, size: int | None = None):
+    """The augmented mask tuples of :func:`grakit.tubings._iter_nested_masks`
+    (with ``size``, only those of that many proper tubes), from the same
+    backtracker over its own compatibility table of the proper tubes in ≺
+    order.  The chosen tubes are not in rank order there, so each family is
+    sorted; the families come in another order than the library's, which
+    makes this the negative control of the order test: ≺ puts {2} before
+    {1}, so complete:2 already lists ((2,),) first."""
+    tset, rank = _tube_table(g)[:2]
+    order = _proper_masks(g)
+    comp = [sum(1 << i for i in range(j + 1, len(order)) if _compatible(tset, order[i], order[j]))
+            for j in range(len(order))]
+    full = ((1 << g.n) - 1,)
+    need = size or 0
+    chosen: list[int] = []
+    stack = [(1 << len(order)) - 1]
+    if not size:
+        yield full
+    while stack:
+        a = stack[-1]
+        if not a or len(chosen) + a.bit_count() < need:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        low = a & -a
+        stack[-1] = a ^ low
+        j = low.bit_length() - 1
+        chosen.append(order[j])
+        if size is None or len(chosen) == size:
+            yield tuple(sorted(chosen, key=rank.__getitem__)) + full
+            if size is not None:
+                chosen.pop()
+                continue
+        stack.append((a ^ low) & comp[j])
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,19 @@ def test_listing_count_mismatch_exits_two(capsys, monkeypatch, command):
     assert err.startswith("grakit: identity check failed: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt, shown", [("json", '"nested_sets":[]}'), ("text", "nested_sets: []")])
+def test_empty_listing(capsys, monkeypatch, fmt, shown):
+    # the one-vertex host has no proper tube, so the plain listing is empty:
+    # the writer's first item is the end of the walk
+    assert main(["nested", "--graph", "path:1", "--format", fmt]) == 0
+    assert capsys.readouterr().out.rstrip("\n").endswith(shown)
+    # and a count of one more set still fails the identity check
+    monkeypatch.setattr(cli.polycomb, "f_vector", lambda g, cap: [2])
+    assert main(["nested", "--graph", "path:1", "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("grakit: identity check failed: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", LISTINGS, ids=" ".join)
 @pytest.mark.parametrize("args", [
     ["--graph", "path:10"],

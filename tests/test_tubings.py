@@ -23,12 +23,13 @@ from grakit import (
     reconnected_complement,
     tubes,
 )
-from grakit.tubings import NestedSet, lex_key, node_graph, node_insertions, prec_key
+from grakit.tubings import NestedSet, _tube_table, lex_key, node_graph, node_insertions, prec_key
 from conftest import (
     connected_classes_upto,
     nested_lex_less,
     oracle_reconnected_edges,
     oracle_tubes,
+    prec_order_walk,
     random_connected_graphs,
     relabelled,
     subset_precedes,
@@ -123,11 +124,52 @@ def test_enumerate_nested_k2():
     # Two disjoint singletons of an edge are linked, hence never nested:
     # the complex has two proper faces and three augmented members.
     k2 = family("complete", 2)
-    # enumeration visits tubes in subset order, which puts {2} before {1}
+    # enumeration visits tubes in canonical rank order, which puts {1}
+    # before {2}, and lists a family before its extensions
     plain = [ns.tubes for ns in enumerate_nested(k2, augmented=False)]
-    assert plain == [((2,),), ((1,),)]
+    assert plain == [((1,),), ((2,),)]
     aug = [ns.tubes for ns in enumerate_nested(k2, augmented=True)]
-    assert aug == [((1, 2),), ((2,), (1, 2)), ((1,), (1, 2))]
+    assert aug == [((1, 2),), ((1,), (1, 2)), ((2,), (1, 2))]
+
+
+def _rank_lex_increasing(sets, n: int) -> bool:
+    """Whether nested sets of an n-vertex host, given as label tuples of their
+    tubes in canonical order, come in strictly increasing lexicographic order
+    of the canonical ranks of their proper tubes; a tube's rank is its place
+    in (size, members) order."""
+    keys = [tuple((len(t), t) for t in ts if len(t) < n) for ts in sets]
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def _walk_listings(g):
+    return {"augmented": list(enumerate_nested(g, augmented=True)),
+            "plain": list(enumerate_nested(g, augmented=False)),
+            "maximal": maximal_nested(g)}
+
+
+def test_walk_lists_sets_in_rank_tuple_order(classes_upto_5):
+    rng = random.Random(22031)
+    for g in classes_upto_5 + [relabelled(g, rng) for g in classes_upto_5]:
+        for name, sets in _walk_listings(g).items():
+            assert _rank_lex_increasing([ns.tubes for ns in sets], g.n), (g, name)
+
+
+def test_walk_yields_the_sets_of_the_prec_order_walk(classes_upto_6):
+    for g in classes_upto_6:
+        oracle = list(prec_order_walk(g))
+        expect = {"augmented": oracle,
+                  "plain": [ms[:-1] for ms in oracle[1:]],  # the empty family comes first
+                  "maximal": list(prec_order_walk(g, g.n - 1))}
+        for name, sets in _walk_listings(g).items():
+            assert sorted(ns.masks for ns in sets) == sorted(expect[name]), (g, name)
+
+
+def test_prec_order_walk_fails_the_order_test():
+    # negative control: ≺ puts {2} before {1}
+    k2 = family("complete", 2)
+    sets = [tuple(map(_tube_table(k2)[0].__getitem__, ms)) for ms in prec_order_walk(k2)]
+    assert sets == [((1, 2),), ((2,), (1, 2)), ((1,), (1, 2))]
+    assert not _rank_lex_increasing(sets, 2)
 
 
 def test_enumerate_nested_p3_count_and_determinism():
