@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,9 +73,9 @@ def _inversion_sign(seq: list[int]) -> int:
     return -1 if inv % 2 else 1
 
 
-@lru_cache(maxsize=1 << 14)  # compose's arity: the components of v, counted once per (host, v)
-def _component_count(g: Graph, v: tuple[int, ...]) -> int:
-    return len(component_masks(g, mask_of(g, v)))
+@lru_cache(maxsize=1 << 14)  # one lookup per compose: v's component count and the host's bit positions
+def _compose_plan(g: Graph, v: tuple[int, ...]) -> tuple[int, Callable[[int], int]]:
+    return len(component_masks(g, mask_of(g, v))), _bit_index(g).__getitem__
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,10 @@ class GrComX:
         """Structure map at a vertex subset v: outer lives on the reconnected
         complement, one inner factor per component of the induced subgraph on
         v, components ordered by minimum vertex."""
-        ncomp = _component_count(g, tuple(v))
+        ncomp, pos = _compose_plan(g, tuple(v))
         if ncomp != len(parts):
             raise ValueError(f"expected {ncomp} inner factors, got {len(parts)}")
-        idx = _bit_index(g)
+        sign = self._merge_sign
         out: Element = {}
         for combo in itertools.product(outer.items(), *[p.items() for p in parts]):
             seq, coeff = [], 1
@@ -117,7 +117,7 @@ class GrComX:
                 seq += key
                 coeff *= c
             key = tuple(sorted(seq))
-            out[key] = out.get(key, 0) + self._merge_sign([idx[u] for u in seq]) * coeff
+            out[key] = out.get(key, 0) + sign(list(map(pos, seq))) * coeff
         return {k: c for k, c in out.items() if c}
 
     def circ(self, g: Graph, t: tuple[int, ...], x: Element, y: Element) -> Element:
@@ -318,6 +318,11 @@ def check_axioms(model: GrComX, g: Graph, cap: int = DEFAULT_CAP) -> tuple[tuple
     holds.  Tubes are walked as masks in the tube table's order; each tube's
     reconnected complement and induced graph are built once.
 
+    Each identity is compared on every basis triple, x outermost, and each
+    inner composition or relabelling is computed once for all the triples
+    that share its arguments.  That is sound because ``compose``, ``circ``
+    and ``relabel`` are functions of their arguments and keep no state.
+
     Equivariance is checked on a generating set of Aut(G) only.  That is
     sound because ``relabel`` is a group action: if it holds for α and β on
     every tube and every pair of basis elements, so by linearity on all
@@ -331,12 +336,11 @@ def check_axioms(model: GrComX, g: Graph, cap: int = DEFAULT_CAP) -> tuple[tuple
     star = {m: _reconnect(g, full & ~m, m) for m in labels}
     sub = {m: _reconnect(g, m, 0) for m in labels}
 
-    def elements(*hosts):
-        """Every tuple of basis elements, one over each host."""
-        return itertools.product(*[[{a: 1} for a in model.basis(h)] for h in hosts])
+    def elements(h: Graph) -> list[Element]:
+        return [{a: 1} for a in model.basis(h)]
 
     # unit: composing at the empty set and at the full set is the identity
-    for (x,) in elements(g):
+    for x in elements(g):
         if model.compose(g, (), x, []) != x:
             violations.append(("unit", f"empty-set composition moved {x}"))
         if model.compose(g, g.vertices, model.unit(), [x]) != x:
@@ -347,13 +351,18 @@ def check_axioms(model: GrComX, g: Graph, cap: int = DEFAULT_CAP) -> tuple[tuple
         if m1 & m2 or (m1 | m2) in labels:
             continue
         t1, t2 = labels[m1], labels[m2]
-        for x, y, z in elements(_reconnect(g, full & ~(m1 | m2), m1 | m2), sub[m1], sub[m2]):
-            lhs = model.circ(g, t2, model.circ(star[m2], t1, x, y), z)
-            rhs = model.circ(g, t1, model.circ(star[m1], t2, x, z), y)
-            if len(next(iter(y))) * len(next(iter(z))) % 2:
-                rhs = {k: -c for k, c in rhs.items()}
-            if lhs != rhs:
-                violations.append(("parallel", f"tubes {t1},{t2} on {x},{y},{z}"))
+        ys, zs = elements(sub[m1]), elements(sub[m2])
+        for x in elements(_reconnect(g, full & ~(m1 | m2), m1 | m2)):
+            xys = [model.circ(star[m2], t1, x, y) for y in ys]
+            xzs = [model.circ(star[m1], t2, x, z) for z in zs]
+            for y, xy in zip(ys, xys):
+                for z, xz in zip(zs, xzs):
+                    lhs = model.circ(g, t2, xy, z)
+                    rhs = model.circ(g, t1, xz, y)
+                    if len(next(iter(y))) * len(next(iter(z))) % 2:
+                        rhs = {k: -c for k, c in rhs.items()}
+                    if lhs != rhs:
+                        violations.append(("parallel", f"tubes {t1},{t2} on {x},{y},{z}"))
 
     # consecutive: nested tubes compose through the middle layer
     for m1 in ts:
@@ -362,20 +371,25 @@ def check_axioms(model: GrComX, g: Graph, cap: int = DEFAULT_CAP) -> tuple[tuple
                 continue
             t1, t2 = labels[m1], labels[m2]
             between = labels_of(g, m2 & ~m1)
-            for x, y, z in elements(star[m2], _reconnect(g, m2 & ~m1, m1), sub[m1]):
-                lhs = model.circ(g, t2, x, model.circ(sub[m2], t1, y, z))
-                rhs = model.circ(g, t1, model.circ(star[m1], between, x, y), z)
-                if lhs != rhs:
-                    violations.append(("consecutive", f"tubes {t1}<{t2} on {x},{y},{z}"))
+            ys, zs = elements(_reconnect(g, m2 & ~m1, m1)), elements(sub[m1])
+            yzs = [[model.circ(sub[m2], t1, y, z) for z in zs] for y in ys]
+            for x in elements(star[m2]):
+                for y, yz_row in zip(ys, yzs):
+                    xy = model.circ(star[m1], between, x, y)
+                    for z, yz in zip(zs, yz_row):
+                        if model.circ(g, t2, x, yz) != model.circ(g, t1, xy, z):
+                            violations.append(("consecutive", f"tubes {t1}<{t2} on {x},{y},{z}"))
 
     # equivariance: relabeling commutes with every tube composition
     for alpha in automorphism_generators(g, cap):
         for m in ts:
             t = labels[m]
             at = tuple(sorted(alpha[u] for u in t))
-            for x, y in elements(star[m], sub[m]):
-                lhs = model.relabel(alpha, model.circ(g, t, x, y))
-                rhs = model.circ(g, at, model.relabel(alpha, x), model.relabel(alpha, y))
-                if lhs != rhs:
-                    violations.append(("equivariance", f"alpha={alpha} tube {t} on {x},{y}"))
+            ys = elements(sub[m])
+            ays = [model.relabel(alpha, y) for y in ys]
+            for x in elements(star[m]):
+                ax = model.relabel(alpha, x)
+                for y, ay in zip(ys, ays):
+                    if model.relabel(alpha, model.circ(g, t, x, y)) != model.circ(g, at, ax, ay):
+                        violations.append(("equivariance", f"alpha={alpha} tube {t} on {x},{y}"))
     return tuple(violations)

@@ -30,9 +30,10 @@ from grakit import (
     quadratic_divisor,
 )
 from grakit.engine import _inversion_sign
-from grakit.graphs import component_masks
+from grakit.graphs import DEFAULT_CAP, _reconnect, automorphism_generators, component_masks, labels_of
 from grakit.polycomb import _root_descents
 from grakit.tubings import (
+    _check_host,
     _compatible,
     _iter_nested_masks,
     _mask_tree,
@@ -599,3 +600,65 @@ class _DescendingMergeGrComX(GrComX):
 
 
 BROKEN_GERST = _DescendingMergeGrComX((0, 1))
+
+
+# ---------------------------------------------------------------------------
+# Axiom-suite oracle.
+# ---------------------------------------------------------------------------
+
+def oracle_check_axioms(model: GrComX, g: Graph) -> tuple[tuple[str, str], ...]:
+    """The axiom suite with every composition and relabelling evaluated
+    afresh for each basis triple: ``engine.check_axioms`` must report exactly
+    these violations, in this order, with these details."""
+    _check_host(g, DEFAULT_CAP)
+    violations = []
+    labels = _tube_table(g)[0]
+    full = (1 << g.n) - 1
+    ts = [m for m in labels if m != full]
+    star = {m: _reconnect(g, full & ~m, m) for m in labels}
+    sub = {m: _reconnect(g, m, 0) for m in labels}
+
+    def elements(*hosts):
+        """Every tuple of basis elements, one over each host."""
+        return itertools.product(*[[{a: 1} for a in model.basis(h)] for h in hosts])
+
+    for (x,) in elements(g):
+        if model.compose(g, (), x, []) != x:
+            violations.append(("unit", f"empty-set composition moved {x}"))
+        if model.compose(g, g.vertices, model.unit(), [x]) != x:
+            violations.append(("unit", f"full-set composition moved {x}"))
+
+    for m1, m2 in itertools.combinations(ts, 2):
+        if m1 & m2 or (m1 | m2) in labels:
+            continue
+        t1, t2 = labels[m1], labels[m2]
+        for x, y, z in elements(_reconnect(g, full & ~(m1 | m2), m1 | m2), sub[m1], sub[m2]):
+            lhs = model.circ(g, t2, model.circ(star[m2], t1, x, y), z)
+            rhs = model.circ(g, t1, model.circ(star[m1], t2, x, z), y)
+            if len(next(iter(y))) * len(next(iter(z))) % 2:
+                rhs = {k: -c for k, c in rhs.items()}
+            if lhs != rhs:
+                violations.append(("parallel", f"tubes {t1},{t2} on {x},{y},{z}"))
+
+    for m1 in ts:
+        for m2 in labels:
+            if m1 & ~m2 or m1 == m2:
+                continue
+            t1, t2 = labels[m1], labels[m2]
+            between = labels_of(g, m2 & ~m1)
+            for x, y, z in elements(star[m2], _reconnect(g, m2 & ~m1, m1), sub[m1]):
+                lhs = model.circ(g, t2, x, model.circ(sub[m2], t1, y, z))
+                rhs = model.circ(g, t1, model.circ(star[m1], between, x, y), z)
+                if lhs != rhs:
+                    violations.append(("consecutive", f"tubes {t1}<{t2} on {x},{y},{z}"))
+
+    for alpha in automorphism_generators(g):
+        for m in ts:
+            t = labels[m]
+            at = tuple(sorted(alpha[u] for u in t))
+            for x, y in elements(star[m], sub[m]):
+                lhs = model.relabel(alpha, model.circ(g, t, x, y))
+                rhs = model.circ(g, at, model.relabel(alpha, x), model.relabel(alpha, y))
+                if lhs != rhs:
+                    violations.append(("equivariance", f"alpha={alpha} tube {t} on {x},{y}"))
+    return tuple(violations)

@@ -42,6 +42,7 @@ from conftest import (
     is_zero,
     kernel_basis,
     matmul,
+    oracle_check_axioms,
     oracle_derivation_column,
     oracle_inversion_sign,
     relabelled,
@@ -381,8 +382,18 @@ def test_axioms_pass_for_models(classes_upto_4):
 
 def test_broken_model_fails_consecutive():
     violations = check_axioms(BROKEN_GERST, family("path", 3))
-    assert violations
-    assert "consecutive" in {name for name, _ in violations}
+    assert {name for name, _ in violations} == {"consecutive", "parallel", "unit"}
+
+
+def test_unsigned_merge_fails_parallel_and_equivariance(monkeypatch):
+    # negative control: without the Koszul sign of a merge the parallel loop
+    # fails, wherever the host has a disjoint non-adjacent tube pair
+    monkeypatch.setattr(GrComX, "_merge_sign", lambda self, seq: 1)
+    for kind, n in (("path", 3), ("path", 4), ("cycle", 4), ("star", 4)):
+        violations = check_axioms(GRGERST, family(kind, n))
+        assert {name for name, _ in violations} == {"equivariance", "parallel"}, (kind, n)
+    # complete:4 has no such pair
+    assert {name for name, _ in check_axioms(GRGERST, family("complete", 4))} == {"equivariance"}
 
 
 def _relabel_action_failures(model: GrComX, g) -> list:
@@ -427,6 +438,18 @@ def test_unsigned_relabel_fails_equivariance():
         assert violations and {name for name, _ in violations} == {"equivariance"}, (kind, n)
 
 
+@pytest.mark.parametrize("name", ["GRCOM", "GRGERST", "BROKEN_GERST", "unsigned relabel", "unsigned merge"])
+def test_check_axioms_matches_the_per_triple_oracle(name, classes_upto_4, monkeypatch):
+    # each inner composition is reused across triples; the violations, their
+    # order and their details must be those of one evaluation per triple
+    if name == "unsigned merge":
+        monkeypatch.setattr(GrComX, "_merge_sign", lambda self, seq: 1)
+    model = {"GRCOM": GRCOM, "GRGERST": GRGERST, "BROKEN_GERST": BROKEN_GERST,
+             "unsigned relabel": _UnsignedRelabel((0, 1)), "unsigned merge": GRGERST}[name]
+    for g in classes_upto_4 + [family("path", 5), family("cycle", 5)]:
+        assert check_axioms(model, g) == oracle_check_axioms(model, g), g
+
+
 def test_relabel_mutated_off_the_generators_needs_the_action_test():
     # negative control: a relabelling wrong on one automorphism outside the
     # generating set breaks the action, and the action test sees it.
@@ -464,7 +487,7 @@ def test_descending_merge_sign_is_the_negated_labels_mutation():
 def test_component_count_cache_is_bounded():
     from grakit.graphs import connected_components
 
-    cached = engine._component_count
+    cached = engine._compose_plan
     assert cached.cache_info().maxsize is not None
     cached.cache_clear()
     # more (host, subset) pairs than the cache holds: paths shifted along the labels
