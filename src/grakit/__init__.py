@@ -32,9 +32,6 @@ from .graphs import (
     GraphError,
     LoopEdgeError,
     NotConnectedError,
-    automorphisms,
-    connected_components,
-    disjoint_union,
     family,
     induced,
     is_connected,
@@ -58,16 +55,12 @@ from .polycomb import betti, f_vector, h_poly_from_descents, h_poly_from_f
 from .tubings import (
     NestedSet,
     NestedTree,
-    descents,
     enumerate_nested,
-    is_nested,
-    lex_key,
     maximal_nested,
     nested_set,
     nested_set_from_json,
     nested_tree,
     node_graph,
-    proper_tubes,
     quadratic_divisor,
     tubes,
 )

@@ -147,9 +147,6 @@ class ChainComplex:
                 if any(acc.values()):
                     raise ValueError(f"squared differential is nonzero on cell {j} of degree {k}")
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * dim for k, dim in self.dims.items())
-
 
 def _homology(dims: dict, ranks: dict) -> dict[int, int]:
     """dim H_k = dims[k] - rank d_k - rank d_{k+1}; a missing rank is 0."""

@@ -56,9 +56,6 @@ class Graph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return labels_of(self, _adjacency(self)[mask_of(self, (v,)).bit_length() - 1])
-
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
 
@@ -96,7 +93,10 @@ def make_graph(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> Graph
         raise DuplicateLabelError(f"duplicate vertex label {_shown(dup)}")
     canon = set()
     for e in edges:
-        a, b = e
+        try:
+            a, b = e
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {_shown(e)} is not a pair of vertex labels") from None
         if not (_is_label(a) and _is_label(b) and a in vset and b in vset):
             raise DanglingEndpointError(
                 f"edge ({_shown(a)},{_shown(b)}) has an endpoint that is not a vertex label")
@@ -186,7 +186,7 @@ def mask_of(g: Graph, subset: Iterable[int]) -> int:
         for v in subset:
             m |= 1 << idx[v]
     except KeyError as exc:
-        raise GraphError(f"{exc.args[0]} is not a vertex of {g!r}") from None
+        raise GraphError(f"{_shown(exc.args[0])} is not a vertex of the host") from None
     return m
 
 
@@ -256,30 +256,15 @@ def _reconnect(g: Graph, keep: int, removed: int) -> Graph:
     return Graph(tuple(vs[i] for i in bits), tuple((vs[i], vs[j]) for i, j in sorted(edges)))
 
 
-def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    """Vertex sets of the components, each sorted, ordered by minimum element."""
-    full = (1 << g.n) - 1
-    return [labels_of(g, m) for m in component_masks(g, full)]
-
-
 def is_connected(g: Graph) -> bool:
     return connected_mask(g, (1 << g.n) - 1)
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Union of two graphs with disjoint label sets."""
-    if set(g1.vertices) & set(g2.vertices):
-        raise GraphError("label sets overlap")
-    return make_graph(g1.vertices + g2.vertices, g1.edges + g2.edges)
-
-
-def _automorphism_search(g: Graph, cap: int, prefix: tuple[int, ...] = ()) -> Iterator[dict[int, int]]:
+def _automorphism_search(g: Graph, prefix: tuple[int, ...]) -> Iterator[dict[int, int]]:
     """The one automorphism backtracker, over bit positions: position i may
-    go to each unused w (prefix[i] alone, if given) of its degree whose
+    go to each unused w (prefix[i] alone, within the prefix) of its degree whose
     neighbours among the used images are the images of i's earlier
     neighbours.  w ascends, so the maps come sorted by image tuple."""
-    if g.n > cap:
-        raise CapExceededError(f"automorphism search capped at {cap} vertices")
     adj = _adjacency(g)
     image = [0] * g.n
 
@@ -299,11 +284,6 @@ def _automorphism_search(g: Graph, cap: int, prefix: tuple[int, ...] = ()) -> It
     return extend(0, 0)
 
 
-def automorphisms(g: Graph, cap: int = DEFAULT_CAP) -> list[dict[int, int]]:
-    """All adjacency-preserving vertex bijections, sorted by image tuple."""
-    return list(_automorphism_search(g, cap))
-
-
 def automorphism_generators(g: Graph, cap: int = DEFAULT_CAP) -> list[dict[int, int]]:
     """Generators of Aut(G), none the identity, by orbit pruning down the
     stabilizer chain: level i = n-1..0 keeps the first map fixing 0..i-1 and
@@ -314,7 +294,7 @@ def automorphism_generators(g: Graph, cap: int = DEFAULT_CAP) -> list[dict[int, 
     for i in reversed(range(g.n)):
         orbit = {vs[i]}
         for w in range(i + 1, g.n):
-            if vs[w] not in orbit and (alpha := next(_automorphism_search(g, cap, (*range(i), w)), None)):
+            if vs[w] not in orbit and (alpha := next(_automorphism_search(g, (*range(i), w)), None)):
                 gens.append(alpha)
                 while grown := {a[u] for a in gens for u in orbit} - orbit:
                     orbit |= grown

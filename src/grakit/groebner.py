@@ -227,7 +227,7 @@ def weight2_leading_tubes(g: Graph, system: str) -> frozenset:
     of the hyper span have the same size and normal count, but only this
     set is compatible with the reduction map."""
     _check_system(system)
-    labels, _, _, border = _tube_table(g)
+    labels, _, border = _tube_table(g)
     full = (1 << g.n) - 1
     return frozenset(t for m, t in labels.items() if m != full
                      and _lead(system, m) <= _bar(system, full & ~m, border[m]))
@@ -249,7 +249,7 @@ def is_normal(ns: NestedSet, system: str) -> bool:
     _check_system(system)
     if system == "grcom" and len(ns) != ns.host.n:
         return False
-    return _normal(system, _tube_table(ns.host)[3], ns.masks)
+    return _normal(system, _tube_table(ns.host)[2], ns.masks)
 
 
 def normal_monomials(g: Graph, system: str, cap: int = DEFAULT_CAP) -> list[NestedSet]:
@@ -258,7 +258,7 @@ def normal_monomials(g: Graph, system: str, cap: int = DEFAULT_CAP) -> list[Nest
     generator is on one vertex, so its monomials are maximal nested sets."""
     _check_system(system)
     _check_host(g, cap)
-    border = _tube_table(g)[3]
+    border = _tube_table(g)[2]
     # the walk of enumerate_nested, wrapping only the normal sets
     return [NestedSet(g, ms) for ms in _iter_nested_masks(g, g.n - 1 if system == "grcom" else None)
             if _normal(system, border, ms)]
@@ -281,7 +281,7 @@ def normal_counts(g: Graph, system: str, cap: int = DEFAULT_CAP) -> list[int]:
     _check_host(g, cap)
     n, w = g.n, g.n * g.n
     full = (1 << n) - 1
-    border = _tube_table(g)[3]
+    border = _tube_table(g)[2]
     above: dict[int, list[int]] = {}  # tube -> sums of N(C, L′) over lead index >= i
     for mask in border:  # smaller tubes first
         every = system == "hyper" or (system == "grav" and mask == full)

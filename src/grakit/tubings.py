@@ -1,4 +1,4 @@
-"""Tubes, nested sets, nested trees, descents, and the two monomial orders.
+"""Tubes, nested sets, nested trees, and the subset order ≺.
 
 A tube is a subset of vertices inducing a connected subgraph.  A nested set
 is a family of tubes in which any two members are comparable by inclusion or
@@ -14,13 +14,15 @@ per-node functions; they go out through ``NestedSet.tubes``, ``to_json`` and
 :func:`nested_tree`.
 
 One per-host table (:func:`_tube_table`) gives every tube mask its labels,
-canonical rank, ≺ key and neighbourhood; :func:`_compat_table` adds the
+canonical rank and neighbourhood; :func:`_compat_table` adds the
 compatible tubes, which the one backtracker (:func:`_iter_nested_masks`)
 walks in rank order, no sort, yielding the nested sets as the masks their
 :class:`NestedSet` holds, lexicographic in their proper tubes' ranks; one rule
 (:func:`_mask_tree`) derives their trees.  ≺ on subsets is the order of
-bit-reversed masks, so ◁ (the sort key :func:`lex_key`) compares masks.
-Face and descent counts need no enumeration (see :mod:`grakit.polycomb`).
+bit-reversed masks (:func:`prec_key`), which orders the weight-two basis;
+the normality edge rule of :mod:`grakit.groebner` realizes ◁ without
+comparing nested sets.  Face and descent counts need no enumeration (see
+:mod:`grakit.polycomb`).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .graphs import (
     _adjacency,
     _is_label,
     _reconnect,
+    _shown,
     connected_mask,
     is_connected,
     labels_of,
@@ -84,12 +87,12 @@ def nested_set(host: Graph, tubes: Iterable[Iterable[int]]) -> NestedSet:
     ts = sorted({tuple(sorted(t)) for t in tubes}, key=lambda t: (len(t), t))
     bad = [t for t in ts if not _is_tube(host, t)]
     if bad:
-        raise NotConnectedError(f"{bad[0]} is not a tube of the host")
+        raise NotConnectedError(f"{_shown(bad[0])} is not a tube of the host")
     masks = tuple(mask_of(host, t) for t in ts)
     tset = _tube_table(host)[0]
     for (a, ma), (b, mb) in itertools.combinations(zip(ts, masks), 2):
         if not _compatible(tset, ma, mb):
-            raise ValueError(f"tubes {a} and {b} are not nested")
+            raise ValueError(f"tubes {_shown(a)} and {_shown(b)} are not nested")
     return NestedSet(host, masks)
 
 
@@ -110,18 +113,18 @@ TABLE_CACHE_SIZE = 64  # hosts whose per-host tables stay cached
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _tube_table(g: Graph) -> tuple[dict[int, Tube], dict[int, int], dict[int, int], dict[int, int]]:
+def _tube_table(g: Graph) -> tuple[dict[int, Tube], dict[int, int], dict[int, int]]:
     """The per-host tube table: every tube mask, the full set included,
     mapped to its label tuple (in the canonical (size, lexicographic)
-    order), to its rank in that order, to its ≺ key, and to its
-    neighbourhood, the mask of the vertices outside it adjacent to it.
+    order), to its rank in that order, and to its neighbourhood, the mask
+    of the vertices outside it adjacent to it.
     The cache keeps ``TABLE_CACHE_SIZE`` hosts, not every host ever seen,
-    because a table is large: a 12-vertex complete host's holds four dicts
+    because a table is large: a 12-vertex complete host's holds three dicts
     of 4,095 entries."""
     found = {m: labels_of(g, m) for m in range(1, 1 << g.n) if connected_mask(g, m)}
     labels = dict(sorted(found.items(), key=lambda mt: (len(mt[1]), mt[1])))
     adj = _adjacency(g)
-    return (labels, {m: r for r, m in enumerate(labels)}, {m: prec_key(m, g.n) for m in labels},
+    return (labels, {m: r for r, m in enumerate(labels)},
             {m: reduce(or_, (a for i, a in enumerate(adj) if m >> i & 1)) & ~m for m in labels})
 
 
@@ -147,23 +150,6 @@ def tubes(g: Graph, cap: int = DEFAULT_CAP) -> list[Tube]:
     return list(_tube_table(g)[0].values())
 
 
-def proper_tubes(g: Graph, cap: int = DEFAULT_CAP) -> list[Tube]:
-    """Tubes other than the full vertex set."""
-    return [t for t in tubes(g, cap) if len(t) < g.n]
-
-
-def is_nested(g: Graph, tube_family: Iterable[Iterable[int]]) -> bool:
-    """Whether :func:`nested_set` accepts the family; raises as it does if
-    a member is not a vertex set or not a tube."""
-    try:
-        nested_set(g, tube_family)
-    except GraphError:
-        raise
-    except ValueError:  # the one error of nested_set that is not a GraphError
-        return False
-    return True
-
-
 def _check_host(g: Graph, cap: int) -> None:
     if g.n == 0:
         raise NotConnectedError("host graph must be nonempty")
@@ -174,9 +160,8 @@ def _check_host(g: Graph, cap: int) -> None:
 
 
 def _proper_masks(g: Graph) -> list[int]:
-    """Proper tube masks in ≺ order."""
-    rev = _tube_table(g)[2]
-    return sorted((m for m in rev if m != (1 << g.n) - 1), key=rev.__getitem__)
+    """Proper tube masks in ≺ order; the full set has the last rank."""
+    return sorted(list(_tube_table(g)[0])[:-1], key=partial(prec_key, n=g.n))
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -355,22 +340,8 @@ def node_graph(ns: NestedSet, t: Tube) -> Graph:
     return _reconnect(ns.host, label[i], ns.masks[i] & ~label[i])
 
 
-def descents(ns: NestedSet) -> set[tuple[int, int]]:
-    """Pairs (v, w) with v < w whose node for v is a child of the node for w.
-
-    Requires a maximal augmented nested set, so every label is a singleton
-    and vertices name tree nodes.
-    """
-    if len(ns) != ns.host.n:
-        raise ValueError("descents require a maximal nested set")
-    parent, label = _mask_tree(ns.masks)
-    vs = ns.host.vertices
-    return {(vs[label[i].bit_length() - 1], vs[label[p].bit_length() - 1])
-            for i, p in enumerate(parent) if p is not None and label[i] < label[p]}
-
-
 # ---------------------------------------------------------------------------
-# The subset order ≺ and the nested-set order ◁.
+# The subset order ≺.
 # ---------------------------------------------------------------------------
 
 def prec_key(mask: int, n: int) -> int:
@@ -382,19 +353,6 @@ def prec_key(mask: int, n: int) -> int:
     smallest vertex in only one of the two sets lies in the later one.
     """
     return int(f"{mask:0{n}b}"[::-1], 2)
-
-
-def lex_key(ns: NestedSet) -> tuple:
-    """Sort key realizing the total order ◁ on equal-cardinality nested sets
-    of one host.
-
-    ◁ compares unions under ≺; on a tie it deletes the ≺-maximal tube from
-    each side and recurses.  The key is the sequence of union keys along
-    that recursion: bit reversal commutes with union, so these are the
-    unions of the reversed masks of the k ≺-smallest tubes, k descending.
-    """
-    rev = _tube_table(ns.host)[2]
-    return tuple(reversed(list(itertools.accumulate(sorted(map(rev.__getitem__, ns.masks)), or_))))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import or_
 
 import pytest
 
@@ -26,8 +27,8 @@ from grakit import (
     is_connected,
     make_graph,
     nested_set,
-    proper_tubes,
     quadratic_divisor,
+    tubes,
 )
 from grakit.engine import _inversion_sign
 from grakit.graphs import DEFAULT_CAP, _reconnect, automorphism_generators, component_masks, labels_of
@@ -39,7 +40,7 @@ from grakit.tubings import (
     _mask_tree,
     _proper_masks,
     _tube_table,
-    lex_key,
+    prec_key,
 )
 
 
@@ -243,6 +244,19 @@ def nested_lex_less(t1: NestedSet, t2: NestedSet) -> bool:
     return False
 
 
+def lex_key(ns: NestedSet) -> tuple:
+    """Sort key realizing ◁ on equal-cardinality nested sets of one host.
+
+    ◁ compares unions under ≺; on a tie it deletes the ≺-maximal tube from
+    each side and recurses.  The key is the sequence of union keys along
+    that recursion: bit reversal (``prec_key``) commutes with union, so
+    these are the unions of the reversed masks of the k ≺-smallest tubes,
+    k descending.
+    """
+    keys = sorted(prec_key(m, ns.host.n) for m in ns.masks)
+    return tuple(reversed(list(itertools.accumulate(keys, or_))))
+
+
 def gerst_decomposition_count(g: Graph) -> int:
     """Number of summands in the underlying reconnected-product splitting,
     one one-dimensional summand per vertex subset."""
@@ -330,7 +344,7 @@ def oracle_leading_tubes(g: Graph, system: str) -> frozenset:
     if system == "grcom":
         return pivot_tubes(grcom_relations(g), "lex")
     out = set()
-    for t in proper_tubes(g, cap=g.n):
+    for t in tubes(g, cap=g.n)[:-1]:  # the full set has the last rank
         outside = {b for a, b in g.edges if a in t and b not in t}
         outside |= {a for a, b in g.edges if b in t and a not in t}
         if all(v > max(t) for v in outside):
@@ -445,6 +459,18 @@ def oracle_f_vector(g: Graph) -> list[int]:
     return [p >> (g.n - i) * w & ((1 << w) - 1) for i in range(g.n)]
 
 
+def descents(ns: NestedSet) -> set[tuple[int, int]]:
+    """Pairs (v, w) with v < w whose node for v is a child of the node for w,
+    on a maximal augmented nested set, where every label is a singleton and
+    vertices name tree nodes."""
+    if len(ns) != ns.host.n:
+        raise ValueError("descents require a maximal nested set")
+    parent, label = _mask_tree(ns.masks)
+    vs = ns.host.vertices
+    return {(vs[label[i].bit_length() - 1], vs[label[p].bit_length() - 1])
+            for i, p in enumerate(parent) if p is not None and label[i] < label[p]}
+
+
 def oracle_root_descents(g: Graph) -> list[list[int]]:
     """Per root bit, the n descent counts of the maximal augmented nested
     sets rooted there, by walking them all: a descent is a child whose
@@ -510,6 +536,11 @@ def is_zero(m: QMatrix) -> bool:
 def sparse_columns(m: QMatrix) -> list[dict]:
     """The columns of m as {row: entry} dicts, entries kept as they are."""
     return [{i: row[j] for i, row in enumerate(m.entries) if row[j]} for j in range(m.cols)]
+
+
+def euler_characteristic(c) -> int:
+    """The alternating sum of a chain complex's dimensions."""
+    return sum((-1) ** k * dim for k, dim in c.dims.items())
 
 
 def rank_bareiss(m: QMatrix) -> int:

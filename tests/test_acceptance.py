@@ -35,10 +35,10 @@ from grakit import (
     maximal_nested,
     normal_counts,
     normal_monomials,
-    proper_tubes,
     rank,
     reduction,
     relation_pairing,
+    tubes,
 )
 from conftest import (
     BROKEN_GERST,
@@ -193,7 +193,7 @@ def test_criterion_08_gravity_relations(classes_upto_5):
                 continue
             results, total = check_gravity_relations(g)
             assert total and all(ok for _, ok in results), g
-            expected_tubes = sum(1 for t in proper_tubes(g) if len(t) >= 2)
+            expected_tubes = sum(1 for t in tubes(g)[:-1] if len(t) >= 2)
             assert len(results) == expected_tubes
 
 

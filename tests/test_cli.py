@@ -384,6 +384,16 @@ def test_nested_set_commands_refuse_a_disconnected_host(capsys):
     assert err == "grakit: error: host graph must be connected\n"
 
 
+@pytest.mark.parametrize("graph", ["complete:9", "complete:64"])
+def test_a_non_vertex_refusal_names_the_value_not_the_host(capsys, graph):
+    # a tube naming a vertex the host lacks is refused in one short line,
+    # however big the host
+    code, out, err = run(capsys, "reduce", "--graph", graph, "--cap", "64",
+                         "--tau", '{"tubes": [[99], [1,2,3,4,5,6,7,8,9]]}')
+    assert code == 1 and out == ""
+    assert err == "grakit: error: 99 is not a vertex of the host\n"
+
+
 def test_python_dash_m_runs_the_cli():
     # run the package this suite imports, wherever it is installed
     src = os.path.dirname(os.path.dirname(grakit.__file__))

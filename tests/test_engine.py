@@ -14,7 +14,6 @@ from grakit import (
     GrComX,
     NotConnectedError,
     RelationSet,
-    automorphisms,
     betti,
     check_axioms,
     check_gravity_relations,
@@ -35,17 +34,19 @@ from grakit import (
 )
 from grakit import engine
 from grakit.exactla import _rank_exact
-from grakit.graphs import automorphism_generators
+from grakit.graphs import automorphism_generators, component_masks, mask_of
 from conftest import (
     BROKEN_GERST,
     gerst_decomposition_count,
     is_zero,
     kernel_basis,
     matmul,
+    oracle_automorphisms,
     oracle_check_axioms,
     oracle_derivation_column,
     oracle_inversion_sign,
     relabelled,
+    subset_precedes,
 )
 
 
@@ -60,6 +61,19 @@ def test_free_weight2_basis_counts():
 def test_free_weight2_basis_order():
     shapes = [ns.tubes[0] for ns in free_weight2_basis(family("path", 3))]
     assert shapes == [(3,), (2,), (2, 3), (1,), (1, 2)]
+
+
+def test_free_weight2_basis_is_in_prec_order(classes_upto_5):
+    # ≺ is read off prec_key, not stored per host: each shape precedes the
+    # next by ≺'s definition, on every class with at most five vertices and
+    # on seeded relabelled copies, and the shapes are the proper tubes
+    rng = random.Random(2411)
+    for g in classes_upto_5 + [relabelled(g, rng) for g in classes_upto_5]:
+        if g.n < 2:
+            continue
+        shapes = [ns.tubes[0] for ns in free_weight2_basis(g)]
+        assert all(subset_precedes(a, b) for a, b in zip(shapes, shapes[1:])), g
+        assert sorted(shapes) == sorted(tubes(g)[:-1]), g
 
 
 def test_grcom_compose_is_basis_to_basis():
@@ -173,10 +187,10 @@ def _combine(x: dict, y: dict, c=1) -> dict:
 def test_derivation_is_a_derivation():
     # d(x o_T y) = dx o_T y + (-1)^|x| x o_T dy on basis elements
     g = family("path", 3)
-    from grakit import induced, proper_tubes, reconnected_complement
+    from grakit import induced, reconnected_complement
     from itertools import combinations
 
-    for t in proper_tubes(g):
+    for t in tubes(g)[:-1]:
         gs = reconnected_complement(g, t)
         gt = induced(g, t)
         for rx in range(gs.n + 1):
@@ -253,11 +267,9 @@ def test_gravity_generator_in_kernel(classes_upto_6):
 
 
 def test_gravity_generator_is_equivariant(classes_upto_5):
-    from grakit import automorphisms
-
     for g in classes_upto_5:
         lam = gravity_generator(g)
-        for alpha in automorphisms(g):
+        for alpha in oracle_automorphisms(g):
             assert GRGERST.relabel(alpha, lam) == lam
 
 
@@ -402,7 +414,7 @@ def _relabel_action_failures(model: GrComX, g) -> list:
     relabelling of a basis element is computed once, so the check is a table
     lookup per triple."""
     vs = g.vertices
-    group = automorphisms(g)
+    group = oracle_automorphisms(g)
     table = {tuple(a[v] for v in vs): {key: model.relabel(a, {key: 1}) for key in model.basis(g)}
              for a in group}
     failures = []
@@ -456,7 +468,7 @@ def test_relabel_mutated_off_the_generators_needs_the_action_test():
     # check_axioms only relabels along the generators, so it alone cannot.
     g = family("complete", 4)
     gens = automorphism_generators(g)
-    bad = next(a for a in automorphisms(g) if a not in gens and any(a[v] != v for v in g.vertices))
+    bad = next(a for a in oracle_automorphisms(g) if a not in gens and any(a[v] != v for v in g.vertices))
 
     class Mutated(GrComX):
         def relabel(self, alpha, x):
@@ -485,8 +497,6 @@ def test_descending_merge_sign_is_the_negated_labels_mutation():
 
 
 def test_component_count_cache_is_bounded():
-    from grakit.graphs import connected_components
-
     cached = engine._compose_plan
     assert cached.cache_info().maxsize is not None
     cached.cache_clear()
@@ -496,7 +506,7 @@ def test_component_count_cache_is_bounded():
     for h in hosts:
         for r in range(h.n + 1):
             for v in itertools.combinations(h.vertices, r):
-                parts = len(connected_components(induced(h, v)))
+                parts = len(component_masks(h, mask_of(h, v)))
                 assert GRCOM.compose(h, v, {(): 1}, [{(): 1}] * parts) == {(): 1}
     info = cached.cache_info()
     assert info.currsize == info.maxsize and info.misses > info.maxsize

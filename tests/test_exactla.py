@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from grakit import ChainComplex, QMatrix, homology_dims, rank
 from grakit.exactla import _P, _rank_exact, _rank_mod_p
 from conftest import (
+    euler_characteristic,
     identity_matrix,
     kernel_basis,
     matmul,
@@ -121,8 +122,8 @@ def test_qmatrix_validation():
 
 def test_chain_complex_validation():
     good = ChainComplex({0: 1, 1: 1}, {1: [{0: 1}]})
-    assert good.euler_characteristic() == 0
-    assert ChainComplex({0: 2, 1: 3}, {}).euler_characteristic() == -1  # zero differentials
+    assert euler_characteristic(good) == 0
+    assert euler_characteristic(ChainComplex({0: 2, 1: 3}, {})) == -1  # zero differentials
     with pytest.raises(ValueError, match="columns"):
         ChainComplex({0: 1, 1: 1}, {1: [{0: 1}, {0: 1}]})  # wrong column count
     with pytest.raises(ValueError, match="row outside"):
@@ -188,7 +189,7 @@ def test_euler_characteristic_invariance():
                           {1: sparse_columns(d1), 2: sparse_columns(d2)})
         hom = homology_dims(cx)
         chi_h = sum((-1) ** k * d for k, d in hom.items())
-        assert chi_h == cx.euler_characteristic()
+        assert chi_h == euler_characteristic(cx)
 
 
 def _columns(m: QMatrix) -> list[dict]:

@@ -11,9 +11,6 @@ from grakit import (
     Graph,
     GraphError,
     LoopEdgeError,
-    automorphisms,
-    connected_components,
-    disjoint_union,
     family,
     induced,
     is_connected,
@@ -21,7 +18,15 @@ from grakit import (
     parse_graph,
     reconnected_complement,
 )
-from grakit.graphs import automorphism_generators
+from grakit.graphs import (
+    _adjacency,
+    _automorphism_search,
+    _shown,
+    automorphism_generators,
+    component_masks,
+    labels_of,
+    mask_of,
+)
 from conftest import oracle_automorphisms, oracle_reconnected_edges, relabelled
 
 
@@ -49,6 +54,14 @@ def test_make_graph_errors():
         make_graph([1, 2], [[1, 3]])
     with pytest.raises(GraphError):
         make_graph([0, 1], [])
+    # an edge that is no pair is refused as one GraphError line naming it
+    for edge, shown in (((1, 2, 3), "(1, 2, 3)"), ([1], "[1]"), (5, "5")):
+        with pytest.raises(GraphError) as exc:
+            make_graph([1, 2], [edge])
+        assert str(exc.value) == f"edge {shown} is not a pair of vertex labels"
+    with pytest.raises(GraphError) as exc:
+        make_graph([1, 2], [tuple(range(1, 100))])
+    assert str(exc.value) == "edge (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1... is not a pair of vertex labels"
 
 
 def test_make_graph_checks_endpoints_before_loops():
@@ -177,6 +190,12 @@ def test_composite_identities():
             reconnected_complement(induced(g, v), u)
 
 
+def disjoint_union(g1, g2):
+    """Union of two graphs with disjoint label sets."""
+    assert not set(g1.vertices) & set(g2.vertices)
+    return make_graph(g1.vertices + g2.vertices, g1.edges + g2.edges)
+
+
 def test_reconnected_complement_respects_disjoint_union():
     rng = random.Random(5)
     for _ in range(30):
@@ -191,34 +210,43 @@ def test_reconnected_complement_respects_disjoint_union():
         )
 
 
+def _components(g):
+    return [labels_of(g, m) for m in component_masks(g, (1 << g.n) - 1)]
+
+
 def test_connected_components():
     p3 = family("path", 3)
-    assert connected_components(induced(p3, [1, 3])) == [(1,), (3,)]
-    assert connected_components(family("complete", 4)) == [(1, 2, 3, 4)]
-    assert connected_components(EMPTY_GRAPH) == []
+    assert _components(induced(p3, [1, 3])) == [(1,), (3,)]
+    assert _components(family("complete", 4)) == [(1, 2, 3, 4)]
+    assert _components(EMPTY_GRAPH) == []
     assert is_connected(EMPTY_GRAPH)
 
 
+def _group(g) -> set:
+    """Image tuples of the group the library's generators generate."""
+    return _closure(g, automorphism_generators(g))
+
+
 def test_automorphisms_examples():
-    assert len(automorphisms(family("path", 3))) == 2
-    assert len(automorphisms(family("complete", 4))) == 24
-    assert automorphisms(family("path", 1)) == [{1: 1}]
+    assert len(_group(family("path", 3))) == 2
+    assert len(_group(family("complete", 4))) == 24
+    assert _group(family("path", 1)) == {(1,)}
 
 
 def test_automorphism_counts_families():
     import math
 
     for n in range(2, 6):
-        assert len(automorphisms(family("complete", n))) == math.factorial(n)
-        assert len(automorphisms(family("path", n))) == 2
+        assert len(_group(family("complete", n))) == math.factorial(n)
+        assert len(_group(family("path", n))) == 2
     for n in range(3, 7):
-        assert len(automorphisms(family("cycle", n))) == 2 * n
+        assert len(_group(family("cycle", n))) == 2 * n
 
 
 def test_automorphisms_against_brute_force(classes_upto_5):
-    # the search's list, in its own order, is sorted by image tuple and
-    # equals the brute-force list: on random graphs, on every class with at
-    # most five vertices, and on seeded relabelled copies of those classes
+    # the backtracker with no prefix lists every automorphism, sorted by
+    # image tuple, as the brute force does: on random graphs, on every class
+    # with at most five vertices, and on seeded relabelled copies of those
     rng = random.Random(9)
     graphs = []
     for _ in range(25):
@@ -233,17 +261,11 @@ def test_automorphisms_against_brute_force(classes_upto_5):
     graphs += classes_upto_5
     graphs += [relabelled(g, rng) for g in classes_upto_5]
     for g in graphs:
-        got = automorphisms(g)
+        got = list(_automorphism_search(g, ()))
         images = [tuple(m[v] for v in g.vertices) for m in got]
         assert images == sorted(images), g
         want = oracle_automorphisms(g)
         assert got == sorted(want, key=lambda m: tuple(m[v] for v in g.vertices)), g
-
-
-def test_automorphism_cap():
-    with pytest.raises(CapExceededError):
-        automorphisms(family("path", 11))
-    assert len(automorphisms(family("path", 11), cap=11)) == 2
 
 
 def _closure(g, gens) -> set:
@@ -263,12 +285,12 @@ def _closure(g, gens) -> set:
 
 def test_automorphism_generators_generate_the_group(classes_upto_6):
     # on every class with at most six vertices and on seeded relabelled
-    # copies, the closure of the generating set is the whole automorphism
-    # list; each generator is one of the automorphisms, and none is the identity
+    # copies, the closure of the generating set is the whole brute-force
+    # automorphism list; each generator is one of them, and none is the identity
     rng = random.Random(21)
     for g in classes_upto_6 + [relabelled(g, rng) for g in classes_upto_6]:
         gens = automorphism_generators(g)
-        every = {tuple(m[v] for v in g.vertices) for m in automorphisms(g)}
+        every = {tuple(m[v] for v in g.vertices) for m in oracle_automorphisms(g)}
         assert all(tuple(a[v] for v in g.vertices) in every for a in gens), g
         assert all(any(a[v] != v for v in g.vertices) for a in gens), g
         assert _closure(g, gens) == every, g
@@ -284,41 +306,51 @@ def test_automorphism_generator_counts_families():
     assert automorphism_generators(EMPTY_GRAPH) == []
 
 
-def test_automorphism_generators_refuse_as_the_search_does():
+def test_automorphism_cap():
+    with pytest.raises(CapExceededError):
+        automorphism_generators(family("path", 11))
+    assert len(_closure(family("path", 11), automorphism_generators(family("path", 11), cap=11))) == 2
+    # the search refuses exactly the hosts above the cap, before any work
     for g in (EMPTY_GRAPH, family("path", 1), family("path", 3), family("cycle", 10), family("complete", 11)):
         for cap in (-1, 0, 1, 3, 9, 10):
-            refusals = []
-            for search in (automorphisms, automorphism_generators):
-                try:
-                    search(g, cap)
-                except CapExceededError as exc:
-                    refusals.append(str(exc))
-                else:
-                    refusals.append(None)
-            assert refusals[0] == refusals[1], (g, cap)
-            assert (refusals[0] is None) == (g.n <= cap), (g, cap)
+            try:
+                automorphism_generators(g, cap)
+            except CapExceededError as exc:
+                assert g.n > cap and str(exc) == f"automorphism search capped at {cap} vertices", (g, cap)
+            else:
+                assert g.n <= cap, (g, cap)
 
 
-def test_neighbors_refuses_a_non_vertex():
+def test_mask_of_refuses_a_non_vertex():
+    # the refusal names the value, cut to a short line, and never the host
     p3 = family("path", 3)
-    assert p3.neighbors(2) == (1, 3)
-    with pytest.raises(GraphError, match="9 is not a vertex of"):
-        p3.neighbors(9)
+    assert mask_of(p3, [1, 3]) == 0b101
+    with pytest.raises(GraphError) as exc:
+        mask_of(p3, [9])
+    assert str(exc.value) == "9 is not a vertex of the host"
+    with pytest.raises(GraphError) as exc:
+        mask_of(family("complete", 64), [10 ** 60])
+    assert str(exc.value) == f"{_shown(10 ** 60)} is not a vertex of the host"
+    assert len(str(exc.value)) < 70
+
+
+def _neighbors(g, v) -> tuple:
+    return labels_of(g, _adjacency(g)[mask_of(g, [v]).bit_length() - 1])
 
 
 def test_graph_caches_are_bounded():
     from grakit.graphs import GRAPH_CACHE_SIZE, _adjacency, _bit_index, _edge_set
 
     g = family("cycle", 5)
-    before = [g.neighbors(v) for v in g.vertices], len(automorphisms(g))
+    before = [_neighbors(g, v) for v in g.vertices], len(_group(g))
     index = _bit_index(g)
     # more distinct graphs than the caches hold: paths shifted along the labels
     for k in range(GRAPH_CACHE_SIZE + 5):
         h = make_graph([k + 100, k + 101, k + 102], [(k + 100, k + 101), (k + 101, k + 102)])
-        assert h.neighbors(k + 101) == (k + 100, k + 102)
-        assert len(automorphisms(h)) == 2  # reads the adjacency masks
+        assert _neighbors(h, k + 101) == (k + 100, k + 102)
+        assert len(_group(h)) == 2  # reads the adjacency masks
     for cached in (_bit_index, _edge_set, _adjacency):
         assert cached.cache_info().currsize <= GRAPH_CACHE_SIZE
     assert _bit_index(g) is not index  # evicted and built again, equal
     assert _bit_index(g) == index
-    assert ([g.neighbors(v) for v in g.vertices], len(automorphisms(g))) == before
+    assert ([_neighbors(g, v) for v in g.vertices], len(_group(g))) == before

@@ -8,25 +8,25 @@ from grakit import (
     CapExceededError,
     GraphError,
     NotConnectedError,
-    descents,
     enumerate_nested,
     family,
     induced,
-    is_nested,
     make_graph,
     maximal_nested,
     nested_set,
     nested_set_from_json,
     nested_tree,
-    proper_tubes,
     quadratic_divisor,
     reconnected_complement,
     tubes,
 )
-from grakit.tubings import NestedSet, _tube_table, lex_key, node_graph, node_insertions, prec_key
+from grakit.tubings import NestedSet, _tube_table, node_graph, node_insertions, prec_key
 from conftest import (
     connected_classes_upto,
+    descents,
+    lex_key,
     nested_lex_less,
+    oracle_automorphisms,
     oracle_reconnected_edges,
     oracle_tubes,
     prec_order_walk,
@@ -98,26 +98,40 @@ def test_building_set_closure(classes_upto_5):
 
 
 def test_is_nested_examples():
+    # a family that is not nested is the one refusal of nested_set that is
+    # no GraphError; a non-tube or a non-vertex is a GraphError
     p3 = family("path", 3)
-    assert is_nested(p3, [[1], [1, 2]])
-    assert not is_nested(p3, [[1, 2], [2, 3]])
-    assert is_nested(p3, [[1], [3]])
-    with pytest.raises(NotConnectedError):
-        is_nested(p3, [[1, 3]])
-    with pytest.raises(GraphError):
-        is_nested(p3, [[1, 4]])
+    assert nested_set(p3, [[1], [1, 2]]).tubes == ((1,), (1, 2))
+    assert nested_set(p3, [[1], [3]]).tubes == ((1,), (3,))
+    with pytest.raises(ValueError, match=r"^tubes \(1, 2\) and \(2, 3\) are not nested$") as exc:
+        nested_set(p3, [[1, 2], [2, 3]])
+    assert not isinstance(exc.value, GraphError)
+    with pytest.raises(NotConnectedError, match=r"^\(1, 3\) is not a tube of the host$"):
+        nested_set(p3, [[1, 3]])
+    with pytest.raises(GraphError, match="^4 is not a vertex of the host$"):
+        nested_set(p3, [[1, 4]])
+    # a long tube is cut in the message, as a long graph input is
+    p14 = family("path", 14)
+    with pytest.raises(NotConnectedError) as exc:
+        nested_set(p14, [[v for v in p14.vertices if v != 7]])
+    assert str(exc.value) == "(1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, ... is not a tube of the host"
 
 
-def test_is_nested_is_what_nested_set_accepts(classes_upto_4):
+def test_nested_set_accepts_exactly_the_nested_pairs(classes_upto_4):
+    # two tubes nest when one contains the other, or they are disjoint and
+    # their union is no tube; nested_set refuses every other pair as not nested
     for g in classes_upto_4:
-        for pair in itertools.combinations(tubes(g), 2):
+        ts = set(oracle_tubes(g))
+        for a, b in itertools.combinations(tubes(g), 2):
+            sa, sb = set(a), set(b)
+            nested = sa <= sb or sb <= sa or not sa & sb and tuple(sorted(sa | sb)) not in ts
             try:
-                nested_set(g, pair)
+                nested_set(g, (a, b))
                 accepted = True
             except ValueError as exc:
-                assert str(exc).endswith("are not nested")
+                assert not isinstance(exc, GraphError) and str(exc).endswith("are not nested")
                 accepted = False
-            assert is_nested(g, pair) is accepted, (g, pair)
+            assert accepted is nested, (g, a, b)
 
 
 def test_enumerate_nested_k2():
@@ -290,7 +304,7 @@ def test_node_graph_and_insertions_against_oracles(classes_upto_5):
                 assert sorted(x for x, _ in got) == sorted(oracle_tubes(h) - {h.vertices})
                 for x, lift in got:
                     assert lift in host_tubes and set(lift) & label == set(x)
-                    assert is_nested(g, [*ns.tubes, lift])
+                    nested_set(g, [*ns.tubes, lift])  # refuses a family that is not nested
                     assert all(set(lift) <= u for u in compatible if u & label == set(x))
 
 
@@ -312,11 +326,9 @@ def test_descent_multiset_p3():
 
 
 def test_descents_equivariant(classes_upto_5):
-    from grakit import automorphisms
-
     for g in classes_upto_5:
         base = sorted(len(descents(ns)) for ns in maximal_nested(g))
-        for alpha in automorphisms(g):
+        for alpha in oracle_automorphisms(g):
             relabeled = sorted(
                 len(descents(nested_set(g, [[alpha[v] for v in t] for t in ns.tubes])))
                 for ns in maximal_nested(g)
@@ -406,7 +418,7 @@ def _compose_shape(g, t, outer: NestedSet, inner: NestedSet) -> NestedSet:
 def test_ordering_compatible_with_composition(classes_upto_4):
     # composing with a fixed factor is strictly monotone in the other
     for g in classes_upto_4:
-        for t in proper_tubes(g):
+        for t in tubes(g)[:-1]:
             gs = reconnected_complement(g, t)
             gt = induced(g, t)
             outer_by_size = {}
