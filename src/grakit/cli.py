@@ -82,7 +82,7 @@ def _load_graph(spec: str) -> Graph:
 def _load_nested(g: Graph, spec: str, cap: int) -> NestedSet:
     # validating a nested set builds the host's tube table over all 2^n subsets
     _check_host(g, cap)
-    return nested_set_from_json(g, _read_json(spec))
+    return nested_set_from_json(g, _read_json(spec), cap)
 
 
 def _write_json(report: dict, out) -> None:

@@ -47,10 +47,17 @@ DEFAULT_CAP = 9
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph: ascending vertex labels, canonical edge pairs."""
+    """Immutable simple graph: ascending vertex labels, canonical edge pairs.
+    Hashed once, at construction, because every per-host cache is keyed on it."""
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

@@ -41,8 +41,8 @@ from .tubings import (
     _children,
     _insertions,
     _iter_nested_masks,
+    _lift,
     _mask_tree,
-    _reach,
     _tube_table,
     enumerate_nested,
 )
@@ -316,30 +316,30 @@ def reduction(ns: NestedSet) -> NestedSet:
 
 
 def induction(ns: NestedSet) -> NestedSet:
-    """Complete an augmented nested set to a maximal one.
+    """Complete an augmented nested set to a maximal one in one tree pass.
 
     At each node whose label has more than one vertex, peel off the minimal
-    label vertex v and insert the lift of the node tube {v}: the smallest
-    compatible tube containing v, which is v together with the node's
-    current children adjacent to it.  The lift replaces the children it
-    absorbs, and the node goes on until its label is a singleton.  An
-    insertion at a node changes only that node's label and children, and
-    the new node's label {v} is already a singleton, so the nodes can be
-    completed in any order, all from one mask tree, with one sort at the end.
-    """
+    label vertex v and insert the lift of the node tube {v} by the one lift
+    rule, :func:`grakit.tubings._lift`: v with the node's current children
+    adjacent to it.  The lift replaces the children it absorbs, and the node
+    goes on until its label is a singleton.  An insertion changes only its
+    node's label and children, and the new label {v} is a singleton, so each
+    node is completed once, from its children gathered in one scan of the
+    tree, and the tubes are sorted by rank once, at the end."""
     g = ns.host
     if not ns.augmented:
         raise ValueError("induction requires an augmented nested set")
-    rank = _tube_table(g)[1]
+    _, rank, border = _tube_table(g)
     masks = list(ns.masks)
-    parent, label = _mask_tree(ns.masks)
+    parent, label = _mask_tree(masks)
     for i, rest in enumerate(label):
-        if rest & (rest - 1):
-            kids = _children(ns.masks, parent, i)
+        if rest & (rest - 1):  # most labels are singletons: only these nodes gather children
+            cs = [c for c, p in zip(masks, parent) if p == i]
             while rest & (rest - 1):
                 v = rest & -rest
                 rest ^= v
-                lifted = _reach(g, v, kids)[v]
-                kids = [c for c in kids if not c & lifted] + [lifted]
+                lifted = _lift(border, v, cs)
+                cs = [c for c in cs if not c & lifted]
+                cs.append(lifted)
                 masks.append(lifted)
     return NestedSet(g, tuple(sorted(masks, key=rank.__getitem__)))

@@ -82,8 +82,9 @@ class NestedSet:
         return "NestedSet{" + ", ".join(str(set(t)) for t in self.tubes) + "}"
 
 
-def nested_set(host: Graph, tubes: Iterable[Iterable[int]]) -> NestedSet:
-    """Validated, canonically sorted nested set."""
+def nested_set(host: Graph, tubes: Iterable[Iterable[int]], cap: int = DEFAULT_CAP) -> NestedSet:
+    """Validated, canonically sorted nested set; a host over ``cap`` is refused first."""
+    _check_cap(host, cap)
     ts = sorted({tuple(sorted(t)) for t in tubes}, key=lambda t: (len(t), t))
     bad = [t for t in ts if not _is_tube(host, t)]
     if bad:
@@ -96,13 +97,13 @@ def nested_set(host: Graph, tubes: Iterable[Iterable[int]]) -> NestedSet:
     return NestedSet(host, masks)
 
 
-def nested_set_from_json(host: Graph, data: dict) -> NestedSet:
+def nested_set_from_json(host: Graph, data: dict, cap: int = DEFAULT_CAP) -> NestedSet:
     """Validated nested set from ``{"tubes": [[labels], ...]}``."""
     ts = data.get("tubes") if isinstance(data, dict) else None
     if not (isinstance(ts, list)
             and all(isinstance(t, list) and all(map(_is_label, t)) for t in ts)):
         raise GraphError('nested set JSON must look like {"tubes": [[1], [1, 2]]}')
-    return nested_set(host, ts)
+    return nested_set(host, ts, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +151,15 @@ def tubes(g: Graph, cap: int = DEFAULT_CAP) -> list[Tube]:
     return list(_tube_table(g)[0].values())
 
 
+def _check_cap(g: Graph, cap: int) -> None:
+    if g.n > cap:  # before any table over the 2^n vertex subsets
+        raise CapExceededError(f"{g.n} vertices exceeds cap {cap}")
+
+
 def _check_host(g: Graph, cap: int) -> None:
     if g.n == 0:
         raise NotConnectedError("host graph must be nonempty")
-    if g.n > cap:  # before the flood, which is quadratic on a long path
-        raise CapExceededError(f"{g.n} vertices exceeds cap {cap}")
+    _check_cap(g, cap)  # before the flood, which is quadratic on a long path
     if not is_connected(g):
         raise NotConnectedError("host graph must be connected")
 
@@ -373,8 +378,9 @@ def quadratic_divisor(ns: NestedSet, t: Tube) -> tuple[Graph, Tube]:
     return _reconnect(ns.host, keep, ns.masks[parent[i]] & ~keep), labels_of(ns.host, label[i])
 
 
-def _reach(g: Graph, x: int, children: list[int]) -> dict[int, int]:
-    """Each vertex bit of x together with the children adjacent to it.
+def _lift(border: dict[int, int], v: int, children: list[int]) -> int:
+    """The vertex bit v together with the node's children adjacent to it,
+    ``border`` being the host's tube neighbourhoods: the one lift rule.
 
     The lift of a node tube X into the host, the smallest host tube meeting
     the node label exactly in X and compatible with the node's children, is
@@ -382,14 +388,11 @@ def _reach(g: Graph, x: int, children: list[int]) -> dict[int, int]:
     it.  Children are disjoint compatible tubes, hence pairwise
     non-adjacent, so absorbing one brings no other in reach.
     """
-    adj = _adjacency(g)
-    out = {}
-    while x:
-        low = x & -x
-        x ^= low
-        a = adj[low.bit_length() - 1]
-        out[low] = low | sum(c for c in children if a & c)
-    return out
+    a = border[v]
+    for c in children:
+        if a & c:
+            v |= c
+    return v
 
 
 def _insertions(g: Graph, label: int, children: list[int]) -> list[tuple[int, int]]:
@@ -397,8 +400,8 @@ def _insertions(g: Graph, label: int, children: list[int]) -> list[tuple[int, in
     in canonical order.  X is a tube of the node graph exactly when its lift
     is a tube of the host, since the node graph joins two label vertices
     when both touch one child."""
-    reach = _reach(g, label, children)
-    tset = _tube_table(g)[0]
+    tset, _, border = _tube_table(g)
+    reach = {1 << i: _lift(border, 1 << i, children) for i in range(g.n) if label >> i & 1}
     out = []
     for r in range(1, len(reach)):
         for xs in itertools.combinations(reach, r):

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import pickle
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +24,7 @@ from grakit import (
 )
 from grakit.graphs import (
     _adjacency,
+    _reconnect,
     _automorphism_search,
     _shown,
     automorphism_generators,
@@ -354,3 +359,28 @@ def test_graph_caches_are_bounded():
     assert _bit_index(g) is not index  # evicted and built again, equal
     assert _bit_index(g) == index
     assert ([_neighbors(g, v) for v in g.vertices], len(_group(g))) == before
+
+
+def test_equal_graphs_hash_equal_and_share_a_cache_entry():
+    # the hash is stored at construction, whichever constructor builds the graph
+    target = family("path", 3)
+    host = make_graph([1, 2, 3, 4], [(1, 4), (4, 2), (2, 3)])  # 4 reconnects 1 and 2
+    built = [make_graph([3, 1, 2], [(3, 2), (2, 1)]), parse_graph("path:3"),
+             parse_graph({"vertices": [1, 2, 3], "edges": [[2, 3], [1, 2]]}),
+             _reconnect(host, 0b0111, 0b1000)]
+    assert all(g == target and hash(g) == hash(target) for g in built)
+
+    @lru_cache(maxsize=None)
+    def keyed(g):
+        return object()
+
+    assert len({id(keyed(g)) for g in [target, *built]}) == 1
+    assert keyed.cache_info().currsize == 1
+
+
+def test_graph_hash_survives_copy_and_pickle():
+    g = family("cycle", 5)
+    for other in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert other == family("cycle", 5) and hash(other) == hash(family("cycle", 5))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.vertices = (1, 2)

@@ -291,8 +291,8 @@ def test_grav_normality_on_ten_vertices():
     # the divisor at {1} is the whole host, past the default cap of the
     # relation builder; only the minimal vertex's singleton leads
     g = family("path", 10)
-    assert not is_normal(nested_set(g, [[1], g.vertices]), "grav")
-    assert is_normal(nested_set(g, [[10], g.vertices]), "grav")
+    assert not is_normal(nested_set(g, [[1], g.vertices], cap=10), "grav")
+    assert is_normal(nested_set(g, [[10], g.vertices], cap=10), "grav")
 
 
 def test_hyper_leading_sets_agree_in_size(classes_upto_5):
@@ -470,7 +470,9 @@ def test_reduction_induction_roundtrip(classes_upto_4):
 
 def test_induction_matches_largest_node_first(classes_upto_5):
     # completing the nodes in any order from one mask tree inserts the tubes
-    # the largest-node-first loop inserts
-    for g in _with_relabelled(classes_upto_5, 2209):
+    # the largest-node-first loop inserts; the relabelled copies take their
+    # labels from 1..29, so a vertex's bit position is not its label
+    sixes = [family(kind, 6) for kind in ("path", "cycle", "star", "complete")]
+    for g in _with_relabelled(classes_upto_5 + sixes, 2209):
         for ns in enumerate_nested(g, augmented=True):
             assert induction(ns) == oracle_induction(ns), ns

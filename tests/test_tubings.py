@@ -20,6 +20,7 @@ from grakit import (
     reconnected_complement,
     tubes,
 )
+from grakit import tubings
 from grakit.tubings import NestedSet, _tube_table, node_graph, node_insertions, prec_key
 from conftest import (
     connected_classes_upto,
@@ -113,8 +114,21 @@ def test_is_nested_examples():
     # a long tube is cut in the message, as a long graph input is
     p14 = family("path", 14)
     with pytest.raises(NotConnectedError) as exc:
-        nested_set(p14, [[v for v in p14.vertices if v != 7]])
+        nested_set(p14, [[v for v in p14.vertices if v != 7]], cap=14)
     assert str(exc.value) == "(1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, ... is not a tube of the host"
+
+
+def test_nested_set_refuses_a_host_over_the_cap_at_once(monkeypatch):
+    # the refusal comes before the tube table over all 2^30 vertex subsets
+    def no_table(g):
+        raise AssertionError("tube table built for a host over the cap")
+
+    monkeypatch.setattr(tubings, "_tube_table", no_table)
+    p30 = family("path", 30)
+    with pytest.raises(CapExceededError, match="^30 vertices exceeds cap 9$"):
+        nested_set(p30, [[1]])
+    with pytest.raises(CapExceededError, match="^30 vertices exceeds cap 29$"):
+        nested_set_from_json(p30, {"tubes": [[1]]}, cap=29)
 
 
 def test_nested_set_accepts_exactly_the_nested_pairs(classes_upto_4):
