@@ -354,6 +354,8 @@ def main(argv=None) -> int:
             raise GraphError(args.refuse[args.format])
         if args.cap is None:
             args.cap = _default_cap()
+        if args.cap < 1:
+            raise ValueError(f"cap must be a positive integer, got {args.cap}")
         if "graph" in args:
             report, csv_parts = args.fn(_load_graph(args.graph), args)
             report = report and {"graph": args.graph, **report}  # tree has none

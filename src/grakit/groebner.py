@@ -44,6 +44,7 @@ from .tubings import (
     _lift,
     _mask_tree,
     _tube_table,
+    _wrap,
     enumerate_nested,
 )
 
@@ -260,8 +261,8 @@ def normal_monomials(g: Graph, system: str, cap: int = DEFAULT_CAP) -> list[Nest
     _check_host(g, cap)
     border = _tube_table(g)[2]
     # the walk of enumerate_nested, wrapping only the normal sets
-    return [NestedSet(g, ms) for ms in _iter_nested_masks(g, g.n - 1 if system == "grcom" else None)
-            if _normal(system, border, ms)]
+    walk = _iter_nested_masks(g, g.n - 1 if system == "grcom" else None)
+    return list(_wrap(g, (ms for ms in walk if _normal(system, border, ms))))
 
 
 def normal_counts(g: Graph, system: str, cap: int = DEFAULT_CAP) -> list[int]:

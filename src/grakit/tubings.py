@@ -6,23 +6,23 @@ disjoint with a disconnected union; augmented nested sets also contain the
 full vertex set.
 
 A vertex subset is a bitmask in which bit i stands for the i-th smallest
-label, so bit order is label order.  A :class:`NestedSet` holds the masks of
-its tubes in the canonical (size, lexicographic) order, which makes equality
-structural.  Labels come in only through :func:`nested_set`,
-:func:`nested_set_from_json` and the label tube arguments of the public
-per-node functions; they go out through ``NestedSet.tubes``, ``to_json`` and
-:func:`nested_tree`.
+label, so bit order is label order.  A :class:`NestedSet` is the immutable
+pair ``(host, masks)``, masks in canonical (size, lexicographic) order; it
+compares and hashes as that pair, and ``len`` counts its tubes.  Labels come
+in only through :func:`nested_set`, :func:`nested_set_from_json` and the
+label tube arguments of the public per-node functions; they go out through
+``NestedSet.tubes``, ``to_json`` and :func:`nested_tree`.
 
 One per-host table (:func:`_tube_table`) gives every tube mask its labels,
 canonical rank and neighbourhood; :func:`_compat_table` adds the
 compatible tubes, which the one backtracker (:func:`_iter_nested_masks`)
 walks in rank order, no sort, yielding the nested sets as the masks their
-:class:`NestedSet` holds, lexicographic in their proper tubes' ranks; one rule
-(:func:`_mask_tree`) derives their trees.  ≺ on subsets is the order of
-bit-reversed masks (:func:`prec_key`), which orders the weight-two basis;
-the normality edge rule of :mod:`grakit.groebner` realizes ◁ without
-comparing nested sets.  Face and descent counts need no enumeration (see
-:mod:`grakit.polycomb`).
+:class:`NestedSet` holds, lexicographic in their proper tubes' ranks; the
+listings build the sets in C (:func:`_wrap`).  One rule (:func:`_mask_tree`)
+derives their trees.  ≺ on subsets is the order of bit-reversed masks
+(:func:`prec_key`), which orders the weight-two basis; the normality edge
+rule of :mod:`grakit.groebner` realizes ◁ without comparing nested sets.
+Face and descent counts need no enumeration (see :mod:`grakit.polycomb`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Container, Iterable, Iterator, Sequence
 
 from .graphs import (
@@ -52,17 +52,23 @@ from .graphs import (
 Tube = tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class NestedSet:
-    """A compatible family of tubes of a fixed host graph, held as the tube
-    masks in the canonical (size, lexicographic) order of the host's tube
-    table; ``tubes`` reads the same family as label tuples.
+class NestedSet(tuple):
+    """The immutable pair ``(host, masks)``: a compatible family of tubes of a
+    host graph, masks in the canonical (size, lexicographic) order of its tube
+    table.  It equals and hashes as the plain pair; ``len`` counts its tubes.
 
     The constructor trusts its input; use :func:`nested_set` to validate.
     """
 
-    host: Graph
-    masks: tuple[int, ...]
+    __slots__ = ()
+    host: Graph = property(itemgetter(0))
+    masks: tuple[int, ...] = property(itemgetter(1))
+
+    def __new__(cls, host: Graph, masks: tuple[int, ...]) -> NestedSet:
+        return tuple.__new__(cls, (host, masks))
+
+    def __getnewargs__(self) -> tuple[Graph, tuple[int, ...]]:  # for pickle and copy
+        return tuple(self)
 
     @property
     def tubes(self) -> tuple[Tube, ...]:
@@ -221,11 +227,7 @@ def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int,
         stack.append((a ^ low) & comp[j])
 
 
-def enumerate_nested(
-    g: Graph,
-    augmented: bool,
-    cap: int = DEFAULT_CAP,
-) -> Iterator[NestedSet]:
+def enumerate_nested(g: Graph, augmented: bool, cap: int = DEFAULT_CAP) -> Iterator[NestedSet]:
     """Stream the nested set complex of g, in the walk's rank order, no
     sort: lexicographic in the canonical ranks of the sets' proper tubes.
 
@@ -236,14 +238,19 @@ def enumerate_nested(
     walk = _iter_nested_masks(g)
     if not augmented:  # the empty family comes first
         walk = (ms[:-1] for ms in itertools.islice(walk, 1, None))
-    yield from map(partial(NestedSet, g), walk)
+    yield from _wrap(g, walk)
 
 
 def maximal_nested(g: Graph, cap: int = DEFAULT_CAP) -> list[NestedSet]:
     """Augmented nested sets of the maximal cardinality |V|, in the walk's
     rank order, no sort: lexicographic in their proper tubes' ranks."""
     _check_host(g, cap)
-    return list(map(partial(NestedSet, g), _iter_nested_masks(g, g.n - 1)))
+    return list(_wrap(g, _iter_nested_masks(g, g.n - 1)))
+
+
+def _wrap(g: Graph, walk: Iterable[tuple[int, ...]]) -> Iterator[NestedSet]:
+    """The :class:`NestedSet` of g on each mask tuple of ``walk``, built in C."""
+    return map(tuple.__new__, itertools.repeat(NestedSet), zip(itertools.repeat(g), walk))
 
 
 # ---------------------------------------------------------------------------

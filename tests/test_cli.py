@@ -244,6 +244,30 @@ def test_family_past_the_ceiling_is_one_line_error(capsys, monkeypatch, argv):
     assert err.startswith("grakit: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["fvector", "--graph", "path:3", "--cap", "-5"],
+    ["grav-dims", "--graph", "path:3", "--cap", "-1"],
+    ["nested", "--graph", "path:3", "--cap", "0"],
+])
+def test_cap_below_one_is_one_line_error(capsys, monkeypatch, argv):
+    # refused before any work, grav-dims included, which ignores the cap
+    monkeypatch.delenv("GRAKIT_CAP", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"grakit: error: cap must be a positive integer, got {int(argv[-1])}\n"
+
+
+@pytest.mark.parametrize("env", ["0", "-3"])
+def test_cap_env_below_one_is_one_line_error(capsys, monkeypatch, env):
+    monkeypatch.setenv("GRAKIT_CAP", env)
+    for command in (["fvector"], ["grav-dims"]):
+        code, out, err = run(capsys, *command, "--graph", "path:3")
+        assert (code, out) == (1, "")
+        assert err == f"grakit: error: cap must be a positive integer, got {env}\n"
+    # a flag of 1 or more overrides the environment
+    assert run(capsys, "fvector", "--graph", "path:3", "--cap", "3")[0] == 0
+
+
 def test_bad_cap_env_is_one_line_error(capsys, monkeypatch):
     monkeypatch.setenv("GRAKIT_CAP", "abc")
     code, out, err = run(capsys, "fvector", "--graph", "path:3")

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from grakit import (
     tubes,
 )
 from grakit import tubings
+from grakit.groebner import SYSTEMS, normal_monomials
 from grakit.tubings import NestedSet, _tube_table, node_graph, node_insertions, prec_key
 from conftest import (
     connected_classes_upto,
@@ -247,6 +250,33 @@ def test_nested_set_validation():
         nested_set(p3, [[2, 2], [1, 2, 3]])
     with pytest.raises(GraphError):
         nested_set(p3, [[1, 1], [1, 2], [1, 2, 3]])
+
+
+def test_nested_set_pair_survives_copy_and_pickle():
+    g = family("cycle", 5)
+    ns = nested_set(g, [[1], [1, 2], [4], [1, 2, 3, 4, 5]])
+    for other in (copy.copy(ns), copy.deepcopy(ns), pickle.loads(pickle.dumps(ns))):
+        assert type(other) is NestedSet and other == ns and hash(other) == hash(ns)
+    # the hash is the pair's, so every cache keyed on sets keeps its keys
+    assert hash(ns) == hash((ns.host, ns.masks)) and ns == (ns.host, ns.masks)
+    for name in ("host", "masks"):
+        with pytest.raises(AttributeError):
+            setattr(ns, name, getattr(ns, name))
+    assert len(ns) == 4 and len(NestedSet(g, ())) == 0 and not NestedSet(g, ())
+    # equal masks on different hosts are different sets
+    other_host = nested_set(family("path", 5), [[1], [1, 2], [4], [1, 2, 3, 4, 5]])
+    assert other_host.masks == ns.masks and other_host != ns
+
+
+def test_sets_built_in_c_equal_the_validated_sets(classes_upto_4):
+    hosts = classes_upto_4 + [family(name, 5) for name in ("path", "cycle", "star", "complete")]
+    for g in hosts:
+        listings = {**_walk_listings(g), **{s: normal_monomials(g, s) for s in SYSTEMS}}
+        for name, sets in listings.items():
+            for ns in sets:
+                checked = nested_set(g, ns.tubes)
+                assert type(ns) is NestedSet and checked == ns, (g, name, ns.masks)
+                assert hash(checked) == hash(ns), (g, name, ns.masks)
 
 
 def test_nested_set_json_roundtrip():
