@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .exactla import ChainComplex, QMatrix, _homology, _rank_mod_p, homology_dims
+from .exactla import ChainComplex, QMatrix, homology_dims
 from .graphs import Graph, component_masks
 from .tubings import (
     DEFAULT_CAP,
@@ -177,16 +177,9 @@ def koszul_check(g: Graph, cap: int = DEFAULT_CAP) -> dict:
     """Homology dimensions of the complex; a point in degree zero certifies
     the quadratic presentation is as small as it can be.
 
-    The boundary columns are ranked first modulo the prime 2^61 - 1; a
-    mod-p point is a rational point (see :mod:`grakit.exactla`).  Any other
-    mod-p answer takes :func:`homology_dims`, exact ranks of the same
-    columns.  Either way d∘d = 0 is checked exactly when the complex is built.
+    Ranks are exact; d∘d = 0 is checked exactly when the complex is built.
     """
-    cx = cobar_complex(g, cap)
-    hom = _homology(cx.dims, {k: _rank_mod_p(cols) for k, cols in cx.columns.items()})
-    if hom == {k: int(k == 0) for k in cx.dims}:
-        return hom
-    return homology_dims(cx)
+    return homology_dims(cobar_complex(g, cap))
 
 
 # ---------------------------------------------------------------------------

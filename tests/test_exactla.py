@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grakit import ChainComplex, QMatrix, homology_dims, rank
-from grakit.exactla import _P, _rank_exact, _rank_mod_p
+from grakit.exactla import _rank_exact
 from conftest import (
     euler_characteristic,
     identity_matrix,
@@ -196,21 +196,6 @@ def _columns(m: QMatrix) -> list[dict]:
     return [{i: int(x) for i, x in col.items()} for col in sparse_columns(m)]
 
 
-@given(st.integers(1, 6).flatmap(lambda cols: st.lists(
-    st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=1, max_size=6)))
-def test_rank_mod_p_matches_exact_rank(rows):
-    m = M(rows)
-    assert _rank_mod_p(_columns(m)) == rank(m)
-
-
-def test_rank_mod_p_is_one_sided():
-    # an entry divisible by p vanishes mod p but not over the rationals
-    assert _rank_mod_p([{0: _P}]) == 0
-    assert rank(M([[_P]])) == 1
-    assert _rank_mod_p([{0: _P + 2, 1: 1}, {0: 2, 1: 1}]) == 1
-    assert rank(M([[_P + 2, 2], [1, 1]])) == 2
-
-
 def _integer_rows(m: QMatrix) -> list[list[int]]:
     """m with each row scaled by the lcm of its denominators: an integer
     matrix of the same rank."""
@@ -234,9 +219,9 @@ def test_sparse_rank_matches_dense_oracles(rows):
     want = _rank_by_minors(m)
     columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*m.entries)]
     assert _rank_exact(columns) == rank(m) == len(rref(m)[1]) == want
-    # the same rank on integers: the Bareiss oracle and the mod-p route
+    # the same rank on integers, against the Bareiss oracle
     z = M(_integer_rows(m))
-    assert rank_bareiss(z) == _rank_exact(_columns(z)) == _rank_mod_p(_columns(z)) == want
+    assert rank_bareiss(z) == _rank_exact(_columns(z)) == want
 
 
 def test_sparse_rank_keeps_integers_under_unit_pivots():

@@ -7,6 +7,7 @@ import pytest
 
 from grakit import (
     CapExceededError,
+    ChainComplex,
     CobarComplex,
     boundary,
     cobar_complex,
@@ -126,47 +127,43 @@ def test_koszul_check_small(classes_upto_4):
         assert all(dim == (1 if k == 0 else 0) for k, dim in hom.items())
 
 
-def test_koszul_check_mod_p_route_matches_exact(classes_upto_5):
+def test_koszul_check_matches_bareiss_oracle(classes_upto_5):
     # the dense Bareiss oracle on the differential matrices, not the sparse route
     for g in classes_upto_5:
         cx = cobar_complex(g)
         ranks = {k: rank_bareiss(cx.differential_matrix(k)) for k in cx.dims}
         want = {k: dim - ranks[k] - ranks.get(k + 1, 0) for k, dim in cx.dims.items()}
-        assert koszul_check(g) == homology_dims(cx) == want, g
+        assert koszul_check(g) == want, g
 
 
-def _count_calls(monkeypatch, module, name, shift=0):
-    real = getattr(module, name)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args) + shift
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_koszul_check_point_takes_no_exact_rank(monkeypatch):
+def _forbid_fractions(monkeypatch):
+    # the sparse elimination builds a Fraction only to scale a pivot not led
+    # by ±1, so a spy in its place trips exactly on a non-unit pivot
     import grakit.exactla as exactla
-    import grakit.groebner as groebner
 
-    mod_p = _count_calls(monkeypatch, groebner, "_rank_mod_p")
-    exact = _count_calls(monkeypatch, exactla, "_rank_exact")
-    assert koszul_check(family("path", 3)) == {0: 1, 1: 0, 2: 0}
-    assert len(mod_p) == 2 and not exact
+    def spy(*args):
+        raise AssertionError(f"a pivot not led by ±1: {args}")
+
+    monkeypatch.setattr(exactla, "Fraction", spy)
 
 
-def test_koszul_check_falls_back_when_mod_p_under_reports(monkeypatch):
-    # negative control: a mod-p rank one too small gives a non-point, and the
-    # exact ranks must then decide
-    import grakit.exactla as exactla
-    import grakit.groebner as groebner
+def test_cobar_columns_eliminate_with_unit_pivots(monkeypatch, classes_upto_5):
+    # every pivot on the cobar columns is ±1, so the ranks stay integral
+    hosts = list(classes_upto_5) + [family("star", 6), family("complete", 6)]
+    _forbid_fractions(monkeypatch)
+    for g in hosts:
+        hom = koszul_check(g)
+        assert hom == {k: int(k == 0) for k in hom}, g
 
-    _count_calls(monkeypatch, groebner, "_rank_mod_p", shift=-1)
-    exact = _count_calls(monkeypatch, exactla, "_rank_exact")
-    assert koszul_check(family("path", 3)) == {0: 1, 1: 0, 2: 0}
-    assert len(exact) == 2
+
+def test_unit_pivot_spy_trips_on_torsion(monkeypatch):
+    # negative control: the cellular chains of RP², a 2-cell attached to the
+    # 1-cell with coefficient 2, have a rational point's homology but a pivot 2
+    rp2 = ChainComplex({0: 1, 1: 1, 2: 1}, {1: [{}], 2: [{0: 2}]})
+    assert homology_dims(rp2) == {0: 1, 1: 0, 2: 0}
+    _forbid_fractions(monkeypatch)
+    with pytest.raises(AssertionError, match="not led by ±1"):
+        homology_dims(rp2)
 
 
 # ---------------------------------------------------------------------------

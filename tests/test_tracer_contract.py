@@ -52,6 +52,8 @@ def test_traced_cobar_walk():
     assert metrics["tubings.enumerate_nested.calls"] == 1
     assert metrics["tubings.enumerate_nested.sets"] == 11  # the faces of a pentagon
     assert metrics["groebner.cobar_complex.calls"] == 1
+    # the ranks of the certificate land in a traced name
+    assert metrics["exactla.homology_dims.calls"] == 1
 
 
 def test_traced_listings():
