@@ -10,12 +10,14 @@ through one JSON encoder.  The nested-set listings (``nested``, ``maximal``)
 are streamed in the json and the text form alike: their count comes first,
 from the face recursion, and each set is written as the walk yields it, so
 no listing is ever held whole; a walk that yields a different number of sets
-fails the identity check.  Every refusal comes before the first byte, and a
-format the command lacks is refused before any work.  Exit codes: 0 success,
-1 input error, 2 a mathematical identity check failed.  The vertex cap
-defaults to the GRAKIT_CAP environment variable when set; ``grav-dims``
-ignores it.  ``sweep`` checks every row's host against it before it computes
-any row, then computes the rows one after another in the calling process.
+fails the identity check; ``nested`` writes each set as its parent's text
+plus one tube, ``maximal``, listing leaves, joins each whole (``_listing``).
+Every refusal comes before the first byte, and a format the command lacks is
+refused before any work.  Exit codes: 0 success, 1 input error, 2 a
+mathematical identity check failed.  The vertex cap defaults to the
+GRAKIT_CAP environment variable when set; ``grav-dims`` ignores it.
+``sweep`` checks every row's host against it before it computes any row,
+then computes the rows one after another in the calling process.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _write_json(report: dict, out) -> None:
 def _emit(report: dict, fmt: str, csv_parts) -> None:
     """Print a report; ``dot`` stands for json outside the tree command.
     text prints each value as its JSON text reads back, so tuples show as the
-    json form's lists, and writes a streamed list item by item, as json does."""
+    json form's lists, and a streamed list, made in that form, item by item."""
     if fmt == "csv":
         rows, header = csv_parts
         print(",".join(header))
@@ -113,9 +115,8 @@ def _emit(report: dict, fmt: str, csv_parts) -> None:
     elif fmt == "text":
         for key, value in report.items():
             if isinstance(value, Iterator):
-                items = (repr(json.loads(item)) for item in value)
-                sys.stdout.write(f"{key}: [" + next(items, ""))
-                sys.stdout.writelines(map(", ".__add__, items))
+                sys.stdout.write(f"{key}: [" + next(value, ""))
+                sys.stdout.writelines(map(", ".__add__, value))
                 print("]")
             else:
                 print(f"{key}: {json.loads(_ENCODER.encode(value))}")
@@ -123,15 +124,29 @@ def _emit(report: dict, fmt: str, csv_parts) -> None:
         _write_json(report, sys.stdout)
 
 
-def _listing(g: Graph, sets: Iterable[NestedSet], count: int) -> Iterator[str]:
-    """The JSON text of each nested set as ``sets`` yields it, joined from
-    each tube's text, encoded once per host.  Raises IdentityCheckFailed
-    unless exactly ``count`` sets came, the count the report states."""
-    text = {m: _ENCODER.encode(t) for m, t in _tube_table(g)[0].items()}
+def _listing(g: Graph, sets: Iterable[NestedSet], count: int, fmt: str, grown: bool = False) -> Iterator[str]:
+    """Each set's text as ``sets`` yields it, json ``[[1],[1,2]]`` or with
+    ``fmt`` text ``[[1], [1, 2]]``; raises IdentityCheckFailed unless exactly
+    ``count`` sets came.  ``maximal`` joins each set's tube texts.  With
+    ``grown`` (``nested``) a set of j + 1 masks is ``prefix[j]`` ("[" and its
+    masks but the last, each with its separator) plus the last, and
+    ``prefix[j]`` is ``prefix[j - 1]`` plus one tube.  The nested listings are
+    prefix-closed (a family's rank-ordered prefixes are families, all listed)
+    and lexicographic in the proper tubes' ranks, so the sets listed between
+    a parent and its child extend it: ``prefix[j - 1]`` still holds the parent's."""
+    sep = ", " if fmt == "text" else ","
+    text = {m: "[" + sep.join(map(str, t)) + "]" for m, t in _tube_table(g)[0].items()}
     written = 0
-    for ns in sets:
-        yield "[" + ",".join(map(text.__getitem__, ns.masks)) + "]"
-        written += 1
+    if grown:
+        then, last = ({m: t + end for m, t in text.items()} for end in (sep, "]"))
+        prefix = ["["] * (g.n + 1)
+        for written, (_, ms) in enumerate(sets, 1):  # a NestedSet is (host, masks)
+            j = len(ms) - 1
+            prefix[j] = prefix[j - 1] + then[ms[j - 1]] if j else "["
+            yield prefix[j] + last[ms[-1]]
+    else:
+        for written, ns in enumerate(sets, 1):
+            yield "[" + sep.join(map(text.__getitem__, ns.masks)) + "]"
     if written != count:
         raise IdentityCheckFailed(f"the walk gave {written} nested sets, "
                                   f"the face recursion {count}")
@@ -154,7 +169,7 @@ def _cmd_nested(g, args):
     report = {
         "augmented": args.augmented,
         "count": count,
-        "nested_sets": _listing(g, sets, count),
+        "nested_sets": _listing(g, sets, count, args.format, grown=True),
     }
     return report, None
 
@@ -162,7 +177,7 @@ def _cmd_nested(g, args):
 def _cmd_maximal(g, args):
     count = polycomb.f_vector(g, cap=args.cap)[0]
     sets = tubings.maximal_nested(g, cap=args.cap)
-    report = {"count": count, "nested_sets": _listing(g, sets, count)}
+    report = {"count": count, "nested_sets": _listing(g, sets, count, args.format)}
     return report, None
 
 

@@ -194,7 +194,8 @@ def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int,
     masks, visiting tubes in rank order, so each family is canonical as
     chosen: yielded augmented, with no sort, it is exactly the ``masks`` of
     its :class:`NestedSet`.  A family precedes its extensions, so families
-    come in lexicographic order of their rank tuples, the empty one first.
+    come in lexicographic order of their rank tuples, the empty one first;
+    the CLI writes each set from its parent's text, so this order is relied on.
 
     With ``size``, only families of exactly that many proper tubes are
     yielded, and a branch is cut once its remaining candidates cannot reach
@@ -230,6 +231,7 @@ def _iter_nested_masks(g: Graph, size: int | None = None) -> Iterator[tuple[int,
 def enumerate_nested(g: Graph, augmented: bool, cap: int = DEFAULT_CAP) -> Iterator[NestedSet]:
     """Stream the nested set complex of g, in the walk's rank order, no
     sort: lexicographic in the canonical ranks of the sets' proper tubes.
+    The CLI writes each set from its parent's text, so this order is relied on.
 
     With ``augmented`` the full vertex set is a member of every output.
     Without it, only proper tubes appear and the empty family is left out.

@@ -10,6 +10,12 @@ digests cover only the json form of ``nested --augmented`` and ``maximal``.
 The listings state their count before the sets, from the face recursion,
 and check it against the sets written; the negative control below breaks
 that count to see the check fire.
+
+The ``nested`` listings write each set from its parent's text.  The per-set
+join they used before, each tube's JSON text joined and the text form read
+back through ``json.loads``, is kept below as their oracle; fed the sets of
+the old ≺-order walk, which can list a set before its parent, the grown
+listing must differ from it.
 """
 
 import contextlib
@@ -20,9 +26,10 @@ import random
 import pytest
 
 import grakit.cli as cli
-from grakit import enumerate_nested, maximal_nested, tubes
+from grakit import enumerate_nested, family, maximal_nested, tubes
 from grakit.cli import main
-from conftest import connected_classes_upto, relabelled
+from grakit.tubings import NestedSet, _tube_table
+from conftest import connected_classes_upto, prec_order_walk, random_connected_graphs, relabelled
 
 COMMANDS = (["nested"], ["nested", "--augmented"], ["maximal"], ["tubes"])
 FORMATS = ("json", "text", "dot")
@@ -81,14 +88,14 @@ def test_listings_write_each_set_before_the_next(monkeypatch, command, fmt):
     listing = cli._listing
     checked = []
 
-    def watched(g, sets, count):
+    def watched(*args, **kwargs):
         shown = None
-        for item in listing(g, sets, count):
+        for item in listing(*args, **kwargs):
             if shown is not None:
                 assert out.getvalue().endswith(shown), "a set was held back"
                 checked.append(shown)
             yield item
-            shown = item if fmt == "json" else repr(json.loads(item))
+            shown = item  # the listing yields each set in the form it is written
 
     monkeypatch.setattr(cli, "_listing", watched)
     with contextlib.redirect_stdout(out):
@@ -131,3 +138,43 @@ def test_refused_listing_writes_nothing(capsys, command, args):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("grakit: error: ") and err.count("\n") == 1
+
+
+def _joined(g, sets) -> list[str]:
+    """The json text of each set by the per-set join: each tube's JSON text,
+    joined whole."""
+    text = {m: json.dumps(t, separators=(",", ":")) for m, t in _tube_table(g)[0].items()}
+    return ["[" + ",".join(map(text.__getitem__, ns.masks)) + "]" for ns in sets]
+
+
+def _grown_agrees(g, sets) -> bool:
+    """Whether the grown listing of ``sets``, its items joined as the report
+    joins them, writes in the json and the text form what the per-set join
+    writes; the join's text form is its json text read back through
+    ``json.loads``."""
+    sets = list(sets)
+    want = "[" + ",".join(_joined(g, sets)) + "]"
+
+    def written(fmt, sep):
+        return "[" + sep.join(cli._listing(g, sets, len(sets), fmt, grown=True)) + "]"
+    return written("json", ",") == want and written("text", ", ") == repr(json.loads(want))
+
+
+def test_grown_listing_equals_the_per_set_join(classes_upto_6):
+    rng = random.Random(2028)
+    sampled = random_connected_graphs(7, 2, seed=2028) + random_connected_graphs(8, 1, seed=2028, p=0.3)
+    hosts = (classes_upto_6 + [family(k, 7) for k in ("path", "cycle", "star", "complete")]
+             + [relabelled(g, rng) for g in sampled])
+    for g in hosts:
+        for augmented in (False, True):
+            assert _grown_agrees(g, enumerate_nested(g, augmented)), (g, augmented)
+
+
+def test_grown_listing_differs_on_the_prec_order_walk():
+    # negative control: path:4's ≺ walk lists {{1}, {4}, {3, 4}} right after
+    # {{4}, {3, 4}} and before its parent {{1}, {4}}, so the grown listing
+    # writes it from the wrong set's text
+    g = family("path", 4)
+    walk = list(prec_order_walk(g))
+    for masks in (walk, [ms[:-1] for ms in walk[1:]]):  # augmented, plain
+        assert not _grown_agrees(g, [NestedSet(g, ms) for ms in masks])

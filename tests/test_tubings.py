@@ -203,6 +203,30 @@ def test_prec_order_walk_fails_the_order_test():
     assert not _rank_lex_increasing(sets, 2)
 
 
+def _parents_come_last(g, walk) -> bool:
+    """Whether, in a walk of mask tuples, the most recent earlier set with
+    k - 1 proper tubes is, for each set with k, its first k - 1 tubes: the
+    property the CLI's nested listings write each set's text by."""
+    full = (1 << g.n) - 1
+    last = {0: ()}  # the empty family, listed first or left out
+    for ms in walk:
+        proper = ms[:-1] if ms and ms[-1] == full else ms
+        k = len(proper)
+        if k and last.get(k - 1) != proper[:-1]:
+            return False
+        last[k] = proper
+    return True
+
+
+def test_walk_lists_each_set_after_its_parent(classes_upto_6):
+    for g in classes_upto_6 + [family("path", 8), family("cycle", 8)]:
+        for augmented in (False, True):
+            assert _parents_come_last(g, (ns.masks for ns in enumerate_nested(g, augmented))), (g, augmented)
+    # negative control: path:3's ≺ walk lists {{1}, {3}} while its last set
+    # with one tube is {{3}}; {{1}} comes later
+    assert not _parents_come_last(family("path", 3), prec_order_walk(family("path", 3)))
+
+
 def test_enumerate_nested_p3_count_and_determinism():
     p3 = family("path", 3)
     first = [ns.tubes for ns in enumerate_nested(p3, augmented=True)]
