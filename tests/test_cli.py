@@ -171,6 +171,20 @@ def test_identity_failure_exits_two(capsys, monkeypatch, command, module, name, 
     assert json.loads(out)["ok"] is False
 
 
+def test_axioms_report_lists_the_first_twenty_violations(capsys, monkeypatch):
+    # the unsigned merge breaks the square-zero model only; its report keeps
+    # the first 20 violations, in the order check_axioms found them
+    monkeypatch.setattr(grakit.GrComX, "_merge_sign", lambda self, seq: 1)
+    violations = grakit.check_axioms(grakit.GRGERST, grakit.family("path", 4))
+    assert len(violations) == 56
+    code, out, _ = run(capsys, "axioms", "--graph", "path:4")
+    assert code == 2
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["models"]["grcom"] == {"passed": True, "violations": []}
+    assert report["models"]["gerst"] == {"passed": False, "violations": [list(v) for v in violations[:20]]}
+
+
 def test_input_errors_exit_one(capsys):
     assert run(capsys, "fvector", "--graph", "path:zzz")[0] == 1
     assert run(capsys, "fvector", "--graph", "banana:3")[0] == 1

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
@@ -450,16 +451,86 @@ def test_unsigned_relabel_fails_equivariance():
         assert violations and {name for name, _ in violations} == {"equivariance"}, (kind, n)
 
 
-@pytest.mark.parametrize("name", ["GRCOM", "GRGERST", "BROKEN_GERST", "unsigned relabel", "unsigned merge"])
+class _CoefficientBlindCompose(GrComX):
+    """Square-zero model whose structure maps replace the inner factors'
+    coefficients by 1: right on basis elements, wrong on -e."""
+
+    def compose(self, g, v, outer, parts):
+        return super().compose(g, v, outer, [dict.fromkeys(p, 1) for p in parts])
+
+
+def test_coefficient_blind_compose_fails_consecutive_and_equivariance():
+    # negative control for the memo of compositions at the host: it is keyed
+    # on the operands' coefficients too, so an operand -e is composed as -e
+    # and not read off the composition of e by linearity
+    for kind, n in (("path", 3), ("path", 4), ("cycle", 4), ("star", 4), ("complete", 4)):
+        violations = check_axioms(_CoefficientBlindCompose((0, 1)), family(kind, n))
+        assert {name for name, _ in violations} == {"consecutive", "equivariance"}, (kind, n)
+
+
+class _FirstVertexSign(GrComX):
+    """Square-zero model whose structure maps are negated at the proper
+    subsets that hold the host's first vertex: unlike the models above, its
+    compositions depend on the tube, so a memo must tell tubes apart, and
+    equivariance must compose at α(t)."""
+
+    def compose(self, g, v, outer, parts):
+        out = super().compose(g, v, outer, parts)
+        return {k: -c for k, c in out.items()} if 0 < len(v) < g.n and v[0] == g.vertices[0] else out
+
+
+_AXIOM_MODELS = {"GRCOM": GRCOM, "GRGERST": GRGERST, "BROKEN_GERST": BROKEN_GERST,
+                 "unsigned relabel": _UnsignedRelabel((0, 1)), "unsigned merge": GRGERST,
+                 "coefficient-blind": _CoefficientBlindCompose((0, 1)),
+                 "tube-dependent": _FirstVertexSign((0, 1))}
+
+
+@pytest.mark.parametrize("name", list(_AXIOM_MODELS))
 def test_check_axioms_matches_the_per_triple_oracle(name, classes_upto_4, monkeypatch):
-    # each inner composition is reused across triples; the violations, their
-    # order and their details must be those of one evaluation per triple
+    # inner compositions and compositions at the host are reused across
+    # triples; the violations, their order and their details must be those
+    # of one evaluation per triple.  star:5 and complete:5 meet the larger
+    # automorphism groups, so equivariance looks up at many images α(t)
     if name == "unsigned merge":
         monkeypatch.setattr(GrComX, "_merge_sign", lambda self, seq: 1)
-    model = {"GRCOM": GRCOM, "GRGERST": GRGERST, "BROKEN_GERST": BROKEN_GERST,
-             "unsigned relabel": _UnsignedRelabel((0, 1)), "unsigned merge": GRGERST}[name]
-    for g in classes_upto_4 + [family("path", 5), family("cycle", 5)]:
+    model = _AXIOM_MODELS[name]
+    for g in classes_upto_4 + [family(kind, 5) for kind in ("path", "cycle", "star", "complete")]:
         assert check_axioms(model, g) == oracle_check_axioms(model, g), g
+
+
+def _compositions_at_host(monkeypatch, model, g, memo_size=None) -> tuple:
+    """check_axioms(model, g), and how often it composes each (tube, x, y)
+    operand triple at g."""
+    seen = Counter()
+    circ = GrComX.circ
+
+    def spy(self, h, t, x, y):
+        if h == g:
+            seen[t, tuple(x.items()), tuple(y.items())] += 1
+        return circ(self, h, t, x, y)
+
+    monkeypatch.setattr(GrComX, "circ", spy)
+    if memo_size is not None:
+        monkeypatch.setattr(engine, "AXIOM_MEMO_SIZE", memo_size)
+    return check_axioms(model, g), seen
+
+
+def test_check_axioms_composes_each_triple_once_at_the_host(monkeypatch):
+    for g in (family("path", 5), family("complete", 5)):
+        for model in (GRCOM, GRGERST):
+            _, seen = _compositions_at_host(monkeypatch, model, g)
+            assert seen and max(seen.values()) == 1, (g, model)
+
+
+def test_axiom_memo_past_its_bound_composes_again(monkeypatch):
+    # a full memo stops keeping triples: they are composed at each use, and
+    # the violations stay those of the per-triple oracle
+    g = family("path", 4)
+    want = oracle_check_axioms(BROKEN_GERST, g)
+    for size in (0, 40):
+        violations, seen = _compositions_at_host(monkeypatch, BROKEN_GERST, g, size)
+        assert max(seen.values()) > 1
+        assert violations == want, size
 
 
 def test_relabel_mutated_off_the_generators_needs_the_action_test():
